@@ -13,7 +13,6 @@ from hra_forge import (
     bundled_case_study,
     load_predictor,
     metrics,
-    normalize_observations,
     save_predictor,
     train_replicated,
 )
@@ -21,14 +20,13 @@ from hra_forge import (
 obs = bundled_case_study()
 print(f"{len(obs.instances)} observed tasks")
 
-normalized = normalize_observations(obs)
-X = normalized.matrix(PSF_ORDER)
-y = np.array([inst.observed_hep.value for inst in normalized.instances])
+X, maxima = obs.normalized(PSF_ORDER)
+y = obs.targets()
 
 # Trimmed settings so the demo runs in a couple of seconds.  The
 # defaults (10 replications, 50000 epochs) give a tighter fit.
 config = TrainingConfig(n_replications=3, max_epochs=5000)
-predictor = train_replicated(X, y, config, active_psfs=PSF_ORDER, maxima=normalized.maxima)
+predictor = train_replicated(X, y, config, active_psfs=PSF_ORDER, maxima=maxima)
 
 for member in predictor.members:
     print(f"  seed {member.seed}: final loss {member.final_loss:.3e}")
@@ -41,7 +39,7 @@ for inst, p in zip(obs.instances, predicted):
     print(f"  {inst.id:<8s} observed={inst.observed_hep.value:.4f}  predicted={p:.4f}")
 
 # Predictors round-trip through a single file, weights exact.
-with tempfile.NamedTemporaryFile(suffix=".npz") as tmp:
+with tempfile.NamedTemporaryFile(suffix=".txt") as tmp:
     save_predictor(predictor, tmp.name)
     again = load_predictor(tmp.name)
 reloaded = again.predict_instances(obs)

@@ -10,8 +10,6 @@ permuted freely, so weight vectors from different runs do not correspond.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -259,14 +257,6 @@ def train_one(X, y, topology: Topology, config: TrainingConfig, seed: int):
     return WeightSet(w1, b1, w2, b2), trace
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("HRA_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def train_replicated(
     X,
     y,
@@ -277,48 +267,35 @@ def train_replicated(
 ) -> TrainedPredictor:
     """Train n_replications runs from seeds seed, seed+1, ... and ensemble them.
 
-    Replications are independent; they may run on a thread pool (capped by
-    the HRA_FORGE_THREADS environment variable) and are merged in seed order,
-    so the result does not depend on scheduling. A replication that diverges
-    is dropped with its seed recorded; if every replication diverges the
-    whole training fails.
+    Replications run one after another in seed order; member k is exactly
+    ``train_one(X, y, topology, config, config.seed + k)``. A replication
+    that diverges is dropped with its seed recorded; if every replication
+    diverges the whole training fails.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if topology is None:
         topology = default_topology(X.shape[1], config.hidden_nodes)
     seeds = [config.seed + k for k in range(config.n_replications)]
-
-    def attempt(seed):
+    members = []
+    dropped = []
+    for seed in seeds:
         try:
             weights, trace = train_one(X, y, topology, config, seed)
-            return seed, weights, trace[-1]
         except TrainingDivergedError:
-            return seed, None, None
-
-    cap = _thread_cap()
-    if cap > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=min(cap, len(seeds))) as pool:
-            outcomes = list(pool.map(attempt, seeds))
-    else:
-        outcomes = [attempt(s) for s in seeds]
-
-    members = tuple(
-        EnsembleMember(seed, weights, loss)
-        for seed, weights, loss in outcomes
-        if weights is not None
-    )
-    dropped = tuple(seed for seed, weights, _ in outcomes if weights is None)
+            dropped.append(seed)
+            continue
+        members.append(EnsembleMember(seed, weights, trace[-1]))
     if not members:
         raise NumericalError(
             f"all {len(seeds)} training replications diverged (seeds {seeds})"
         )
     return TrainedPredictor(
         topology=topology,
-        members=members,
+        members=tuple(members),
         active_psfs=tuple(active_psfs),
         maxima=dict(maxima),
-        dropped_seeds=dropped,
+        dropped_seeds=tuple(dropped),
     )
 
 

@@ -103,14 +103,10 @@ def _training_config(args) -> ann.TrainingConfig:
 def cmd_train(args) -> int:
     obs = _load_observations_arg(args.observations)
     config = _training_config(args)
-    raw = obs.matrix(PSF_ORDER)
-    maxima = raw.max(axis=0)
-    predictor = ann.train_replicated(
-        raw / maxima, obs.targets(), config, PSF_ORDER, dict(zip(PSF_ORDER, maxima))
-    )
-    report = ann.metrics(
-        predictor.predict_normalized(raw / maxima), obs.targets()
-    )
+    X, maxima = obs.normalized(PSF_ORDER)
+    y = obs.targets()
+    predictor = ann.train_replicated(X, y, config, PSF_ORDER, maxima)
+    report = ann.metrics(predictor.predict_normalized(X), y)
     for member in predictor.members:
         print(f"seed {member.seed}: loss {fmt_console(member.final_loss)}")
     if predictor.dropped_seeds:
@@ -239,14 +235,40 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _read_csv(path) -> tuple[list[str], list[list[str]]]:
+def _read_csv(path, columns) -> list[list[float]]:
+    """The numeric columns at the given indices of a result CSV, one list each.
+
+    Errors name the file and the data row (1-based, header excluded).
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [l.rstrip("\n") for l in handle if l.strip()]
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if len(lines) < 2:
+        raise InputError(f"{path}: expected a header row and at least one data row")
     header = lines[0].split(",")
-    return header, [l.split(",") for l in lines[1:]]
+    width = max(columns) + 1
+    if len(header) < width:
+        raise InputError(
+            f"{path}: header has {len(header)} columns, expected at least {width}"
+        )
+    values = [[] for _ in columns]
+    for rowno, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if len(cells) < width:
+            raise InputError(
+                f"{path}: row {rowno}: expected at least {width} cells, got {len(cells)}"
+            )
+        for out, i in zip(values, columns):
+            try:
+                out.append(float(cells[i]))
+            except ValueError:
+                raise InputError(
+                    f"{path}: row {rowno}: column {header[i]!r} is not numeric: "
+                    f"{cells[i]!r}"
+                ) from None
+    return values
 
 
 def cmd_report(args) -> int:
@@ -274,9 +296,7 @@ def cmd_report(args) -> int:
     written = []
     for d in subdirs:
         sub = os.path.join(iter_root, d)
-        _, metric_rows = _read_csv(os.path.join(sub, "metrics.csv"))
-        observed = [float(r[1]) for r in metric_rows]
-        predicted = [float(r[2]) for r in metric_rows]
+        observed, predicted = _read_csv(os.path.join(sub, "metrics.csv"), (1, 2))
         path = os.path.join(outdir, f"hep_observed_vs_predicted_{d}.svg")
         atomic_write_text(
             path,
@@ -289,11 +309,9 @@ def cmd_report(args) -> int:
             ),
         )
         written.append(path)
-        _, fit_rows = _read_csv(os.path.join(sub, "rsm_fit.csv"))
-        response = [float(r[2]) for r in fit_rows]
-        fitted = [float(r[4]) for r in fit_rows]
-        residual = [float(r[5]) for r in fit_rows]
-        back = [float(r[6]) for r in fit_rows]
+        response, fitted, residual, back = _read_csv(
+            os.path.join(sub, "rsm_fit.csv"), (2, 4, 5, 6)
+        )
         res = np.array(residual)
         order = np.sort(res)
         n = len(order)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError
 from .ioutil import atomic_write_text, fmt_full
-from .psf import PSF_ORDER, Probability, PsfId, PsfVector, normalize
+from .psf import PSF_ORDER, Probability, PsfId, PsfVector
 
 _OBS_COLUMNS = tuple(["id"] + [p.column for p in PSF_ORDER] + ["hep"])
 _OBS_COLUMNS_TRIALS = _OBS_COLUMNS + ("trials",)
@@ -53,14 +53,9 @@ class Instance:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """An ordered collection of instances plus optional normalization maxima.
-
-    ``maxima`` is filled by :func:`normalize_observations` and persists the
-    per-PSF denominators so training and later prediction share one scaling.
-    """
+    """An ordered collection of instances."""
 
     instances: tuple[Instance, ...]
-    maxima: Optional[dict[PsfId, float]] = None
 
     def __post_init__(self):
         ids = [inst.id for inst in self.instances]
@@ -82,19 +77,23 @@ class ObservationSet:
             [[inst.psfs[p] for p in active] for inst in self.instances], dtype=float
         )
 
+    def normalized(self, active: Sequence[PsfId]):
+        """Scale each active PSF column by its maximum over the set.
+
+        Returns ``(X, maxima)``: the scaled matrix, row per instance, whose
+        columns each peak at 1, and the per-PSF denominators, which a
+        predictor stores so later instances share the same scaling.
+        """
+        if not self.instances:
+            raise InputError("cannot normalize an empty observation set")
+        raw = self.matrix(active)
+        maxima = raw.max(axis=0)
+        return raw / maxima, dict(zip(active, maxima.tolist()))
+
     def targets(self):
         import numpy as np
 
         return np.array([float(inst.observed_hep) for inst in self.instances])
-
-
-def normalize_observations(obs: ObservationSet) -> ObservationSet:
-    """Rescale every PSF column by its maximum; store the maxima on the set."""
-    vectors, maxima = normalize([inst.psfs for inst in obs.instances])
-    instances = tuple(
-        replace(inst, psfs=vec) for inst, vec in zip(obs.instances, vectors)
-    )
-    return ObservationSet(instances, maxima)
 
 
 @dataclass(frozen=True)
@@ -138,6 +137,15 @@ def _parse_float(cell: str, rowno: int, column: str) -> float:
         raise InputError(
             f"row {rowno}: column {column!r} is not numeric: {cell!r}"
         ) from None
+
+
+def _parse_int(cell: str, rowno: int, column: str) -> int:
+    value = _parse_float(cell, rowno, column)
+    if not (math.isfinite(value) and value.is_integer()):
+        raise InputError(
+            f"row {rowno}: column {column!r} is not an integer: {cell!r}"
+        )
+    return int(value)
 
 
 def _read_csv_lines(text: str) -> list[list[str]]:
@@ -185,7 +193,7 @@ def load_observations(source) -> ObservationSet:
             raise InputError(f"row {rowno}: hep {hep_cell} outside [0, 1]")
         trials = None
         if has_trials and cells[10] != "":
-            trials = int(_parse_float(cells[10], rowno, "trials"))
+            trials = _parse_int(cells[10], rowno, "trials")
         try:
             inst = Instance(cells[0], PsfVector(values), Probability(hep_cell), trials)
         except InputError as exc:
@@ -236,8 +244,8 @@ def load_design(source) -> list[DesignRow]:
             raise InputError(
                 f"row {rowno}: expected {len(header)} cells, got {len(cells)}"
             )
-        std = int(_parse_float(cells[0], rowno, "std"))
-        run = int(_parse_float(cells[1], rowno, "run"))
+        std = _parse_int(cells[0], rowno, "std")
+        run = _parse_int(cells[1], rowno, "run")
         levels = {
             letter: _parse_float(cells[2 + i], rowno, letter)
             for i, letter in enumerate(letters)

@@ -34,15 +34,3 @@ def atomic_write_text(path, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def parse_positive_int(text: str, what: str):
-    from .errors import InputError
-
-    try:
-        value = int(text)
-    except ValueError:
-        raise InputError(f"{what} must be an integer, got {text!r}") from None
-    if value <= 0:
-        raise InputError(f"{what} must be >= 1, got {value}")
-    return value

@@ -150,13 +150,9 @@ def _run_iteration(
     active: Sequence[PsfId],
     iteration: int,
 ) -> IterationRecord:
-    raw = observations.matrix(active)
-    maxima = raw.max(axis=0)
-    X = raw / maxima
+    X, maxima = observations.normalized(active)
     y = observations.targets()
-    predictor = train_replicated(
-        X, y, config.training, active, dict(zip(active, maxima.tolist()))
-    )
+    predictor = train_replicated(X, y, config.training, active, maxima)
     predicted = predictor.predict_normalized(X)
     report = metrics(predicted, y)
 

@@ -243,26 +243,6 @@ def lookup_multiplier(table: MultiplierTable, level_label: str, mode: Mode):
     raise UnknownLevelError(table.psf.name, level_label)
 
 
-def normalize(
-    vectors: Sequence[PsfVector],
-) -> tuple[list[PsfVector], dict[PsfId, float]]:
-    """Divide every PSF column by its maximum over the list.
-
-    Returns the rescaled vectors and the per-PSF maxima, which can be reused
-    to normalize future vectors with the same scaling. Every normalized
-    component lies in (0, 1] and the maximum of each column maps to 1.
-    """
-    if not vectors:
-        raise InputError("cannot normalize an empty list of PSF vectors")
-    maxima = {
-        psf: max(v[psf] for v in vectors) for psf in PSF_ORDER
-    }
-    scaled = [
-        PsfVector({psf: v[psf] / maxima[psf] for psf in PSF_ORDER}) for v in vectors
-    ]
-    return scaled, maxima
-
-
 # --- multiplier configuration files ----------------------------------------
 
 _CONFIG_HEADER = "psf_letter,level_label,action_multiplier,diagnosis_multiplier"

@@ -279,7 +279,6 @@ class FitResult:
     spec: ModelSpec
     coding: FactorCoding
     coefficients: dict[ModelTerm, float]          # coded units
-    coefficients_actual: dict[ModelTerm, float]   # actual (uncoded) units
     fitted: np.ndarray                            # transformed scale
     residuals: np.ndarray
     r2: float
@@ -288,40 +287,6 @@ class FitResult:
     @property
     def sse(self) -> float:
         return float(self.residuals @ self.residuals)
-
-
-def _to_actual_units(spec: ModelSpec, coding: FactorCoding, coef: Mapping[ModelTerm, float]):
-    """Expand coded-unit coefficients into the equivalent actual-unit polynomial.
-
-    Substituting coded = (x - c)/h into each term spreads its coefficient
-    over the term itself and its lower-order relatives; hierarchy guarantees
-    those relatives exist in the term set.
-    """
-    actual = {term: 0.0 for term in spec.terms}
-    for term, b in coef.items():
-        if term.kind == _KIND_INTERCEPT:
-            actual[term] += b
-        elif term.kind == _KIND_MAIN:
-            c, h = coding.factors[term.letters[0]]
-            actual[term] += b / h
-            actual[intercept()] += -b * c / h
-        elif term.kind == _KIND_INTERACTION:
-            la, lb = term.letters
-            ca, ha = coding.factors[la]
-            cb, hb = coding.factors[lb]
-            k = b / (ha * hb)
-            actual[term] += k
-            actual[main_effect(la)] += -k * cb
-            actual[main_effect(lb)] += -k * ca
-            actual[intercept()] += k * ca * cb
-        else:
-            letter = term.letters[0]
-            c, h = coding.factors[letter]
-            k = b / (h * h)
-            actual[term] += k
-            actual[main_effect(letter)] += -2.0 * k * c
-            actual[intercept()] += k * c * c
-    return actual
 
 
 def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> FitResult:
@@ -363,7 +328,6 @@ def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> Fit
         spec=spec,
         coding=coding,
         coefficients=coef,
-        coefficients_actual=_to_actual_units(spec, coding, coef),
         fitted=fitted,
         residuals=residuals,
         r2=r2,
@@ -525,17 +489,19 @@ def backward_eliminate(
 ):
     """Remove the weakest term until everything removable is significant.
 
-    Each pass refits, computes partial p-values, and drops the removable term
-    with the largest p above alpha (ties broken by canonical term order).
+    Each pass computes partial p-values of the current fit and drops the
+    removable term with the largest p above alpha (ties broken by canonical
+    term order). Each spec is fit once: the reduced spec's fit gives the
+    step's ``sse_after`` and the next pass's p-values.
     Main effects are not removable while any interaction or quadratic child
     survives, so the result stays hierarchical.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must be in (0, 1), got {alpha}")
     spec = full_spec
+    current = fit(rows, spec, coding)
     steps: list[EliminationStep] = []
     while True:
-        current = fit(rows, spec, coding)
         pvals = anova(current, rows).term_pvalues()
         protected = _protected(spec)
         candidates = [
@@ -548,8 +514,8 @@ def backward_eliminate(
         # largest p first; canonical term order settles exact ties
         term, p = min(candidates, key=lambda tp: (-tp[1], tp[0]))
         spec = spec.without(term)
-        sse_after = fit(rows, spec, coding).sse
-        steps.append(EliminationStep(term, p, sse_after))
+        current = fit(rows, spec, coding)
+        steps.append(EliminationStep(term, p, current.sse))
 
 
 @dataclass(frozen=True)

@@ -220,31 +220,28 @@ class TestEnsemble:
         with pytest.raises(NumericalError):
             train_replicated(X, y, cfg, active, {p: 1.0 for p in active})
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
+    def test_members_match_train_one(self):
         rng = np.random.default_rng(12)
         X = rng.uniform(0, 1, (12, 4))
         y = rng.uniform(0.1, 0.9, 12)
-        cfg = TrainingConfig(max_epochs=300, n_replications=5)
+        cfg = TrainingConfig(seed=3, max_epochs=300, n_replications=5)
         active = PSF_ORDER[:4]
-        maxima = {p: 1.0 for p in active}
-        monkeypatch.delenv("HRA_FORGE_THREADS", raising=False)
-        serial = train_replicated(X, y, cfg, active, maxima)
-        monkeypatch.setenv("HRA_FORGE_THREADS", "4")
-        threaded = train_replicated(X, y, cfg, active, maxima)
-        for a, b in zip(serial.members, threaded.members):
-            assert a.seed == b.seed
-            assert np.array_equal(a.weights.w_hidden, b.weights.w_hidden)
-            assert a.final_loss == b.final_loss
+        pred = train_replicated(X, y, cfg, active, {p: 1.0 for p in active})
+        assert [m.seed for m in pred.members] == [3, 4, 5, 6, 7]
+        for k, member in enumerate(pred.members):
+            weights, trace = train_one(X, y, pred.topology, cfg, cfg.seed + k)
+            assert np.array_equal(member.weights.w_hidden, weights.w_hidden)
+            assert np.array_equal(member.weights.b_hidden, weights.b_hidden)
+            assert np.array_equal(member.weights.w_output, weights.w_output)
+            assert member.weights.b_output == weights.b_output
+            assert member.final_loss == trace[-1]
 
     def test_predict_instances_uses_maxima(self):
         obs = bundled_table2()
-        raw = obs.matrix(PSF_ORDER)
-        maxima = raw.max(axis=0)
+        X, maxima = obs.normalized(PSF_ORDER)
         cfg = TrainingConfig(max_epochs=500, n_replications=2)
-        pred = train_replicated(
-            raw / maxima, obs.targets(), cfg, PSF_ORDER, dict(zip(PSF_ORDER, maxima))
-        )
-        direct = pred.predict_normalized(raw / maxima)
+        pred = train_replicated(X, obs.targets(), cfg, PSF_ORDER, maxima)
+        direct = pred.predict_normalized(X)
         via_instances = pred.predict_instances(obs)
         assert np.allclose(direct, via_instances, atol=1e-15)
 

@@ -88,6 +88,15 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
+    def test_header_only_observations_exit_2(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(
+            "id,available_time,stress,complexity,experience_training,"
+            "procedures,ergonomics,fitness_for_duty,work_process,hep\n"
+        )
+        assert main(["train", "--observations", str(obs)]) == 2
+        assert "empty observation set" in capsys.readouterr().err
+
 
 class TestDesignCommand:
     def test_generate_writes_header_and_rows(self, tmp_path, capsys):
@@ -239,6 +248,54 @@ class TestReportCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "rsm_fit.csv" in err
+
+
+METRICS_HEADER = "id,observed_hep,predicted_hep,squared_error\n"
+RSM_FIT_HEADER = "std,run,response,transformed,fitted,residual,predicted_response\n"
+
+
+class TestReportShortCsv:
+    @pytest.fixture()
+    def result_dir(self, tmp_path):
+        sub = tmp_path / "res" / "iterations" / "01"
+        sub.mkdir(parents=True)
+        (tmp_path / "res" / "summary.csv").write_text("iteration\n1\n")
+        (sub / "metrics.csv").write_text(
+            METRICS_HEADER + "I1,0.1,0.12,0.0004\nI2,0.2,0.18,0.0004\n"
+        )
+        (sub / "rsm_fit.csv").write_text(
+            RSM_FIT_HEADER + "1,1,50,125000,124000,1000,49.9\n"
+            "2,2,60,216000,217000,-1000,60.1\n"
+        )
+        return tmp_path / "res"
+
+    def test_well_formed_tree_reports(self, result_dir, capsys):
+        assert main(["report", "--result", str(result_dir)]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("metrics.csv", "", "metrics.csv"),
+            ("metrics.csv", METRICS_HEADER, "metrics.csv"),
+            ("metrics.csv", METRICS_HEADER + "I1,0.1,0.12,0.0004\nI2,0.2\n", "row 2"),
+            ("metrics.csv", METRICS_HEADER + "I1,abc,0.12,0.0004\n", "'observed_hep'"),
+            ("rsm_fit.csv", "", "rsm_fit.csv"),
+            ("rsm_fit.csv", RSM_FIT_HEADER, "rsm_fit.csv"),
+            ("rsm_fit.csv", RSM_FIT_HEADER + "1,1,50\n", "row 1"),
+            ("rsm_fit.csv", "std,run\n1,1\n", "header"),
+        ],
+        ids=[
+            "metrics-empty", "metrics-header-only", "metrics-short-row",
+            "metrics-non-numeric", "rsm_fit-empty", "rsm_fit-header-only",
+            "rsm_fit-short-row", "rsm_fit-short-header",
+        ],
+    )
+    def test_short_csv_exit_2(self, result_dir, capsys, name, text, where):
+        (result_dir / "iterations" / "01" / name).write_text(text)
+        assert main(["report", "--result", str(result_dir)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and where in err
 
 
 def run_console_script(*args):

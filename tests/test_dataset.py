@@ -1,6 +1,7 @@
 """Observation and design files, plus the bundled fixtures."""
 import io
 
+import numpy as np
 import pytest
 
 from hra_forge.dataset import (
@@ -12,7 +13,6 @@ from hra_forge.dataset import (
     bundled_table4,
     load_design,
     load_observations,
-    normalize_observations,
     save_design,
     save_observations,
 )
@@ -149,6 +149,14 @@ class TestObservationIo:
             load_observations(OBS_HEADER + "\nI1,1,1,1\n")
         assert "row 1" in str(err.value)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "1.5"])
+    def test_trials_must_be_an_integer(self, cell):
+        text = OBS_HEADER + f",trials\nI1,1,1,1,1,1,1,1,1,0.5,{cell}\n"
+        with pytest.raises(InputError) as err:
+            load_observations(text)
+        msg = str(err.value)
+        assert "row 1" in msg and "'trials'" in msg
+
 
 class TestDesignIo:
     def test_roundtrip(self):
@@ -174,6 +182,20 @@ class TestDesignIo:
         rows = load_design(text)
         assert sorted(rows[0].levels) == ["A", "C", "H"]
 
+    @pytest.mark.parametrize("column", ["std", "run"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "1.5"])
+    def test_orders_must_be_integers(self, column, cell):
+        cells = {"std": "1", "run": "1", column: cell}
+        text = f"std,run,A,reliability\n{cells['std']},{cells['run']},0.2,50\n"
+        with pytest.raises(InputError) as err:
+            load_design(text)
+        msg = str(err.value)
+        assert "row 1" in msg and repr(column) in msg
+
+    def test_integral_float_order_accepted(self):
+        rows = load_design("std,run,A,reliability\n2.0,3,0.2,50\n")
+        assert (rows[0].std_order, rows[0].run_order) == (2, 3)
+
     def test_unknown_letter_rejected(self):
         with pytest.raises(InputError):
             load_design("std,run,A,Q,reliability\n1,1,0.2,0.2,\n")
@@ -187,12 +209,18 @@ class TestDesignIo:
 
 class TestNormalizeObservations:
     def test_unit_scale(self):
-        norm = normalize_observations(bundled_table2())
-        raw = norm.matrix(PSF_ORDER)
-        assert raw.max(axis=0).tolist() == [1.0] * 8
-        first = norm.instances[0].psfs.as_tuple()
-        assert first == (0.01, 0.4, 1.0, 1.0, 0.4, 0.05, 1.0, 0.1)
+        X, _ = bundled_table2().normalized(PSF_ORDER)
+        assert X.max(axis=0).tolist() == [1.0] * 8
+        assert tuple(X[0]) == (0.01, 0.4, 1.0, 1.0, 0.4, 0.05, 1.0, 0.1)
 
     def test_maxima_recorded(self):
-        norm = normalize_observations(bundled_table2())
-        assert norm.maxima[PsfId.Procedures] == 50.0
+        _, maxima = bundled_table2().normalized(PSF_ORDER)
+        assert maxima[PsfId.Procedures] == 50.0
+
+    def test_active_subset(self):
+        active = (PsfId.Stress, PsfId.Procedures)
+        X, maxima = bundled_table2().normalized(active)
+        full, _ = bundled_table2().normalized(PSF_ORDER)
+        assert X.shape == (15, 2)
+        assert list(maxima) == list(active)
+        assert np.array_equal(X, full[:, [1, 4]])

@@ -173,15 +173,8 @@ class TestComparison:
 
     def test_identical_predictors_zero_delta(self):
         obs = bundled_case_study()
-        raw = obs.matrix(PSF_ORDER)
-        maxima = raw.max(axis=0)
-        pred = train_replicated(
-            raw / maxima,
-            obs.targets(),
-            FAST,
-            PSF_ORDER,
-            dict(zip(PSF_ORDER, maxima)),
-        )
+        X, maxima = obs.normalized(PSF_ORDER)
+        pred = train_replicated(X, obs.targets(), FAST, PSF_ORDER, maxima)
         report = compare_before_after(obs, pred, pred)
         assert all(r.delta == 0.0 for r in report.rows)
         assert report.mse_delta == 0.0

@@ -1,9 +1,11 @@
 """Probability algebra, multiplier lookup, and normalization."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from hra_forge.dataset import Instance, ObservationSet
 from hra_forge.errors import InputError, UnknownLevelError
 from hra_forge.psf import (
     FAILURE_CERTAIN,
@@ -20,7 +22,6 @@ from hra_forge.psf import (
     format_multiplier_config,
     lookup_multiplier,
     nominal_hep,
-    normalize,
     parse_multiplier_config,
     resolve_levels,
     total_psf_impact,
@@ -241,26 +242,29 @@ class TestConfigRoundtrip:
             parse_multiplier_config("A,Weird,abc,1\n")
 
 
+def observation_set(rows) -> ObservationSet:
+    """Instances with the given raw multiplier rows (all eight PSFs) and HEP 0.1."""
+    return ObservationSet(
+        tuple(
+            Instance(f"i{k}", PsfVector.from_sequence(row), Probability(0.1))
+            for k, row in enumerate(rows)
+        )
+    )
+
+
 class TestNormalize:
     def test_maxima_and_scaling(self):
-        vectors = [
-            PsfVector.from_sequence([10, 5, 5, 3, 50, 10, 5, 5]),
-            PsfVector.from_sequence([1, 1, 1, 1, 1, 1, 1, 1]),
-        ]
-        scaled, maxima = normalize(vectors)
+        obs = observation_set([[10, 5, 5, 3, 50, 10, 5, 5], [1, 1, 1, 1, 1, 1, 1, 1]])
+        X, maxima = obs.normalized(PSF_ORDER)
         assert maxima == dict(zip(PSF_ORDER, (10.0, 5.0, 5.0, 3.0, 50.0, 10.0, 5.0, 5.0)))
-        assert scaled[0].as_tuple() == (1.0,) * 8
-        assert scaled[1].as_tuple() == (0.1, 0.2, 0.2, 1 / 3, 0.02, 0.1, 0.2, 0.2)
+        assert tuple(X[0]) == (1.0,) * 8
+        assert tuple(X[1]) == (0.1, 0.2, 0.2, 1 / 3, 0.02, 0.1, 0.2, 0.2)
 
     def test_idempotent(self):
-        vectors = [
-            PsfVector.from_sequence([2, 4, 1, 3, 5, 2, 1, 1]),
-            PsfVector.from_sequence([1, 2, 2, 1, 10, 4, 5, 3]),
-        ]
-        once, _ = normalize(vectors)
-        twice, maxima = normalize(once)
-        for a, b in zip(once, twice):
-            assert a.as_tuple() == b.as_tuple()
+        obs = observation_set([[2, 4, 1, 3, 5, 2, 1, 1], [1, 2, 2, 1, 10, 4, 5, 3]])
+        once, _ = obs.normalized(PSF_ORDER)
+        twice, maxima = observation_set(once).normalized(PSF_ORDER)
+        assert np.array_equal(once, twice)
         assert all(m == 1.0 for m in maxima.values())
 
     @given(
@@ -275,17 +279,15 @@ class TestNormalize:
         )
     )
     def test_unit_interval(self, raw):
-        vectors = [PsfVector.from_sequence(r) for r in raw]
-        scaled, _ = normalize(vectors)
-        for v in scaled:
-            assert all(0.0 < x <= 1.0 for x in v.as_tuple())
+        X, _ = observation_set(raw).normalized(PSF_ORDER)
+        assert ((0.0 < X) & (X <= 1.0)).all()
         # every column attains its maximum
         for j in range(8):
-            assert math.isclose(max(v.as_tuple()[j] for v in scaled), 1.0)
+            assert math.isclose(X[:, j].max(), 1.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            normalize([])
+        with pytest.raises(InputError, match="empty observation set"):
+            ObservationSet(()).normalized(PSF_ORDER)
 
 
 class TestPsfIdentity:

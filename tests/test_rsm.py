@@ -405,6 +405,28 @@ class TestBackwardElimination:
             "1", "A", "C", "D", "H", "AD", "C^2", "D^2",
         ]
 
+    def test_each_spec_fit_once(self, monkeypatch):
+        rows = bundled_table4()
+        coding = infer_coding(rows)
+        full = full_quadratic(sorted(rows[0].levels), 3.0)
+        fitted_specs = []
+        real_fit = rsm.fit
+
+        def counting_fit(rows, spec, coding):
+            fitted_specs.append(spec)
+            return real_fit(rows, spec, coding)
+
+        monkeypatch.setattr(rsm, "fit", counting_fit)
+        _, steps = backward_eliminate(rows, full, 0.05, coding)
+        assert len(steps) == 37
+        assert len(fitted_specs) == len(steps) + 1
+        assert len(set(fitted_specs)) == len(fitted_specs)
+        # sse_after is the SSE of the spec left after removing the step's term
+        spec = full
+        for step in steps:
+            spec = spec.without(step.term)
+            assert step.sse_after == real_fit(rows, spec, coding).sse
+
     def test_alpha_validation(self):
         letters, coding, rows = self.make_single_effect_rows()
         for alpha in (0.0, 1.0, -0.2, 1.5):

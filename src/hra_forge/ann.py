@@ -7,6 +7,12 @@ the tiny network visibly different fits, training is replicated from several
 seeds and the ensemble predicts with the arithmetic mean of its members'
 outputs. Averaging weights instead would be meaningless: hidden units can be
 permuted freely, so weight vectors from different runs do not correspond.
+
+All replicas train together: their weights are stacked along a leading
+replica axis and each epoch is one batched forward/backward pass over the
+replicas still running. There is one training loop; ``train_one`` is its
+one-seed case, and each ensemble member is bit-for-bit the network
+``train_one`` trains from the same seed.
 """
 from __future__ import annotations
 
@@ -211,13 +217,21 @@ def loss_and_gradient(weights: WeightSet, X, y):
     return loss, (g_w_hidden, g_b_hidden, g_w_output, g_b_output)
 
 
-def train_one(X, y, topology: Topology, config: TrainingConfig, seed: int):
-    """Full-batch gradient descent from one seed.
+def _train_seeds(X, y, topology: Topology, config: TrainingConfig, seeds):
+    """Train one replica per seed, all replicas as one batched program.
 
-    Stops at max_epochs or when the loss improvement over PLATEAU_WINDOW
-    epochs drops below config.loss_tolerance. Returns (weights, loss trace);
-    the trace entry for an epoch is the loss measured before that epoch's
-    update, so the returned weights correspond to the final trace entry.
+    The replicas' weights are stacked along a leading axis: (R, H, I),
+    (R, H), (R, H) and (R,). Every epoch runs one forward/backward pass of
+    ``np.matmul`` calls over the replicas still live. Each batched call
+    does, per replica, the same BLAS call on the same operands as a single
+    network would, so every replica's arithmetic is exactly that of training
+    it alone. A replica leaves the live set when it meets the plateau rule or
+    its loss is not finite; the stacked weight arrays are compacted only on
+    epochs where some replica stops.
+
+    Returns one entry per seed, in seed order: ``(weights, loss trace)`` with
+    the trace as an array view, or the TrainingDivergedError of a replica
+    whose loss became non-finite.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -228,33 +242,80 @@ def train_one(X, y, topology: Topology, config: TrainingConfig, seed: int):
             f"training data has {X.shape[1]} inputs, topology expects "
             f"{topology.n_inputs}"
         )
-    ws = init_weights(topology, seed)
-    w1 = ws.w_hidden.copy()
-    b1 = ws.b_hidden.copy()
-    w2 = ws.w_output.copy()
-    b2 = ws.b_output
+    inits = [init_weights(topology, seed) for seed in seeds]
+    w1 = np.stack([w.w_hidden for w in inits])
+    b1 = np.stack([w.b_hidden for w in inits])
+    w2 = np.stack([w.w_output for w in inits])
+    b2 = np.array([w.b_output for w in inits])
+    live = np.arange(len(seeds))  # seed index of each stacked replica
+    results: list = [None] * len(seeds)
     lr = config.learning_rate
+    tol = config.loss_tolerance
     n = X.shape[0]
-    trace: list[float] = []
-    # overflow here is the divergence signal, caught via the finiteness check
+    # trace[i, PLATEAU_WINDOW + e] is the loss of seeds[i]'s replica before
+    # epoch e's update; a row is written only while its replica is live, so
+    # only its used prefix is ever touched. The first PLATEAU_WINDOW columns
+    # hold +inf, so one test covers both stop rules from epoch 0:
+    # inf - loss >= tol holds for every finite loss, and
+    # (earlier - loss >= tol) fails for an inf or nan loss.
+    trace = np.empty((len(seeds), PLATEAU_WINDOW + config.max_epochs))
+    trace[:, :PLATEAU_WINDOW] = np.inf
+
+    def finish(k, epochs):
+        results[live[k]] = (
+            WeightSet(w1[k].copy(), b1[k].copy(), w2[k].copy(), b2[k]),
+            trace[live[k], PLATEAU_WINDOW:PLATEAU_WINDOW + epochs],
+        )
+
+    # overflow here is the divergence signal, caught via the finiteness test
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs):
-            hidden = _sigmoid(X @ w1.T + b1)
-            out = _sigmoid(hidden @ w2 + b2)
+            hidden = _sigmoid(np.matmul(X, w1.transpose(0, 2, 1)) + b1[:, None, :])
+            out = _sigmoid(np.matmul(hidden, w2[:, :, None])[:, :, 0] + b2[:, None])
             err = out - y
-            loss = float(err @ err) / n
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch, seed)
-            trace.append(loss)
-            if epoch >= PLATEAU_WINDOW and trace[epoch - PLATEAU_WINDOW] - loss < config.loss_tolerance:
-                break
+            # a per-replica dot product: einsum can differ in the last ulp,
+            # which could move a plateau stop
+            loss = np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0] / n
+            trace[live, PLATEAU_WINDOW + epoch] = loss
             d_out = (2.0 / n) * err * out * (1.0 - out)
-            d_hidden = np.outer(d_out, w2) * hidden * (1.0 - hidden)
-            w1 -= lr * (d_hidden.T @ X)
-            b1 -= lr * d_hidden.sum(axis=0)
-            w2 -= lr * (hidden.T @ d_out)
-            b2 -= lr * float(d_out.sum())
-    return WeightSet(w1, b1, w2, b2), trace
+            going = trace[live, epoch] - loss >= tol
+            if not going.all():
+                for k in np.flatnonzero(~going):
+                    if np.isfinite(loss[k]):
+                        finish(k, epoch + 1)
+                    else:
+                        results[live[k]] = TrainingDivergedError(epoch, seeds[live[k]])
+                if not going.any():
+                    break
+                live = live[going]
+                w1, b1, w2, b2 = w1[going], b1[going], w2[going], b2[going]
+                hidden, d_out = hidden[going], d_out[going]
+            d_hidden = d_out[:, :, None] * w2[:, None, :] * hidden * (1.0 - hidden)
+            w1 -= lr * np.matmul(d_hidden.transpose(0, 2, 1), X)
+            b1 -= lr * d_hidden.sum(axis=1)
+            w2 -= lr * np.matmul(hidden.transpose(0, 2, 1), d_out[:, :, None])[:, :, 0]
+            b2 -= lr * d_out.sum(axis=1)
+        else:
+            for k in range(live.size):
+                finish(k, config.max_epochs)
+    return results
+
+
+def train_one(X, y, topology: Topology, config: TrainingConfig, seed: int):
+    """Full-batch gradient descent from one seed: the one-replica ensemble.
+
+    Stops at max_epochs or when the loss improvement over PLATEAU_WINDOW
+    epochs drops below config.loss_tolerance. Returns (weights, loss trace);
+    the trace entry for an epoch is the loss measured before that epoch's
+    update. After a plateau stop the weights are the ones the final trace
+    entry measured; at the epoch cap they have had that epoch's update too.
+    Raises TrainingDivergedError when the loss becomes non-finite.
+    """
+    (result,) = _train_seeds(X, y, topology, config, [seed])
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    weights, trace = result
+    return weights, trace.tolist()
 
 
 def train_replicated(
@@ -267,25 +328,22 @@ def train_replicated(
 ) -> TrainedPredictor:
     """Train n_replications runs from seeds seed, seed+1, ... and ensemble them.
 
-    Replications run one after another in seed order; member k is exactly
-    ``train_one(X, y, topology, config, config.seed + k)``. A replication
-    that diverges is dropped with its seed recorded; if every replication
-    diverges the whole training fails.
+    All replications train together in one batched program; member k is
+    exactly ``train_one(X, y, topology, config, config.seed + k)``, bit for
+    bit. A replication that diverges is dropped with its seed recorded; if
+    every replication diverges the whole training fails.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
     if topology is None:
         topology = default_topology(X.shape[1], config.hidden_nodes)
     seeds = [config.seed + k for k in range(config.n_replications)]
     members = []
     dropped = []
-    for seed in seeds:
-        try:
-            weights, trace = train_one(X, y, topology, config, seed)
-        except TrainingDivergedError:
+    for seed, result in zip(seeds, _train_seeds(X, y, topology, config, seeds)):
+        if isinstance(result, TrainingDivergedError):
             dropped.append(seed)
-            continue
-        members.append(EnsembleMember(seed, weights, trace[-1]))
+        else:
+            members.append(EnsembleMember(seed, result[0], float(result[1][-1])))
     if not members:
         raise NumericalError(
             f"all {len(seeds)} training replications diverged (seeds {seeds})"

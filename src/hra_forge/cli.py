@@ -286,6 +286,11 @@ def cmd_report(args) -> int:
         if not subdirs:
             missing.append(os.path.join(iter_root, "<iteration dirs>"))
         for d in subdirs:
+            if not pipeline.is_iteration_name(d):
+                raise InputError(
+                    f"{os.path.join(iter_root, d)}: not an iteration directory "
+                    "(expected a number such as 01)"
+                )
             for name in ("metrics.csv", "rsm_fit.csv"):
                 p = os.path.join(iter_root, d, name)
                 if not os.path.exists(p):
@@ -297,18 +302,6 @@ def cmd_report(args) -> int:
     for d in subdirs:
         sub = os.path.join(iter_root, d)
         observed, predicted = _read_csv(os.path.join(sub, "metrics.csv"), (1, 2))
-        path = os.path.join(outdir, f"hep_observed_vs_predicted_{d}.svg")
-        atomic_write_text(
-            path,
-            svg.scatter_svg(
-                list(zip(observed, predicted)),
-                title=f"Observed vs predicted HEP (iteration {int(d)})",
-                xlabel="observed HEP",
-                ylabel="predicted HEP",
-                ref_line=(1.0, 0.0),
-            ),
-        )
-        written.append(path)
         response, fitted, residual, back = _read_csv(
             os.path.join(sub, "rsm_fit.csv"), (2, 4, 5, 6)
         )
@@ -318,9 +311,15 @@ def cmd_report(args) -> int:
         theo = ndtri((np.arange(1, n + 1) - 0.5) / n)
         mu = float(res.mean())
         sigma = float(res.std())
-        path = os.path.join(outdir, f"residuals_normal_{d}.svg")
-        atomic_write_text(
-            path,
+        # one plot per kind, in the order of pipeline.REPORT_PLOTS
+        plots = (
+            svg.scatter_svg(
+                list(zip(observed, predicted)),
+                title=f"Observed vs predicted HEP (iteration {int(d)})",
+                xlabel="observed HEP",
+                ylabel="predicted HEP",
+                ref_line=(1.0, 0.0),
+            ),
             svg.scatter_svg(
                 list(zip(theo.tolist(), order.tolist())),
                 title=f"Normal quantile plot of residuals (iteration {int(d)})",
@@ -328,11 +327,6 @@ def cmd_report(args) -> int:
                 ylabel="residual",
                 ref_line=(sigma, mu),
             ),
-        )
-        written.append(path)
-        path = os.path.join(outdir, f"residuals_vs_predicted_{d}.svg")
-        atomic_write_text(
-            path,
             svg.scatter_svg(
                 list(zip(fitted, residual)),
                 title=f"Residuals vs predicted (iteration {int(d)})",
@@ -340,11 +334,6 @@ def cmd_report(args) -> int:
                 ylabel="residual",
                 ref_line=(0.0, 0.0),
             ),
-        )
-        written.append(path)
-        path = os.path.join(outdir, f"reliability_observed_vs_predicted_{d}.svg")
-        atomic_write_text(
-            path,
             svg.scatter_svg(
                 list(zip(response, back)),
                 title=f"Observed vs predicted reliability (iteration {int(d)})",
@@ -353,7 +342,10 @@ def cmd_report(args) -> int:
                 ref_line=(1.0, 0.0),
             ),
         )
-        written.append(path)
+        for kind, text in zip(pipeline.REPORT_PLOTS, plots):
+            path = os.path.join(outdir, f"{kind}_{d}.svg")
+            atomic_write_text(path, text)
+            written.append(path)
     for path in written:
         print(f"wrote {path}")
     return EXIT_OK

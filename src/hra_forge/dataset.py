@@ -273,11 +273,16 @@ def save_design(rows: Sequence[DesignRow], sink) -> None:
 
 
 def _slurp(source) -> str:
+    """The text of a file object, of CSV text, or of the file at a path.
+
+    A string is CSV text only when it holds a newline, so a path may contain
+    commas.
+    """
     if hasattr(source, "read"):
         data = source.read()
         return data.decode("utf-8") if isinstance(data, bytes) else data
     text = str(source)
-    if "\n" in text or "," in text:
+    if "\n" in text:
         return text
     try:
         with open(text, "r", encoding="utf-8") as handle:

@@ -349,10 +349,68 @@ def summary_csv_text(result: PipelineResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The files save_result writes into each ``iterations/NN`` directory.
+ITERATION_FILES = (
+    "metrics.csv",
+    "anova.csv",
+    "screening.txt",
+    "predictor.txt",
+    "design.csv",
+    "model.txt",
+    "rsm_fit.csv",
+    "elimination.csv",
+)
+
+#: The plots ``hra-forge report`` draws per iteration, as ``<kind>_NN.svg``.
+REPORT_PLOTS = (
+    "hep_observed_vs_predicted",
+    "residuals_normal",
+    "residuals_vs_predicted",
+    "reliability_observed_vs_predicted",
+)
+
+
+def is_iteration_name(name: str) -> bool:
+    """Whether a directory name under ``iterations/`` is an iteration number."""
+    return name.isascii() and name.isdigit()
+
+
+def _remove_stale(outdir: str, kept: set) -> None:
+    """Delete what an earlier run left in outdir that this run does not rewrite.
+
+    That is every iteration directory not in ``kept`` and every report plot,
+    since the plots describe the earlier run. Only names this program writes
+    are removed; an iteration directory left holding other files stays.
+    """
+    iter_root = os.path.join(outdir, "iterations")
+    if os.path.isdir(iter_root):
+        for d in os.listdir(iter_root):
+            sub = os.path.join(iter_root, d)
+            if d in kept or not is_iteration_name(d) or not os.path.isdir(sub):
+                continue
+            for name in ITERATION_FILES:
+                path = os.path.join(sub, name)
+                if os.path.isfile(path):
+                    os.remove(path)
+            if not os.listdir(sub):
+                os.rmdir(sub)
+    for name in os.listdir(outdir):
+        kind, _, number = name.rpartition("_")
+        if (kind in REPORT_PLOTS and number.endswith(".svg")
+                and is_iteration_name(number[:-4])):
+            os.remove(os.path.join(outdir, name))
+
+
 def save_result(result: PipelineResult, observations: ObservationSet, outdir) -> None:
-    """Write the result directory: per-iteration artifacts plus summary.csv."""
+    """Write the result directory: per-iteration artifacts plus summary.csv.
+
+    Saving into a directory that holds an earlier result first removes that
+    result's iteration directories that this one does not rewrite and the
+    report plots drawn from it, so old and new artifacts never mix.
+    """
     outdir = os.fspath(outdir)
     os.makedirs(outdir, exist_ok=True)
+    _remove_stale(outdir, {f"{rec.index:02d}" for rec in result.iterations})
     for rec in result.iterations:
         subdir = os.path.join(outdir, "iterations", f"{rec.index:02d}")
         os.makedirs(subdir, exist_ok=True)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hra_forge.ann import (
     PLATEAU_WINDOW,
@@ -57,6 +58,88 @@ def numeric_gradient(weights, X, y, step=1e-5):
         lo[i] -= step
         grad[i] = (loss_at(hi) - loss_at(lo)) / (2 * step)
     return grad
+
+
+def serial_train_one(X, y, topology, config, seed):
+    """Reference trainer: one network, one epoch loop, no batching.
+
+    The batched trainer must reproduce it bit for bit. Returns
+    (weights, trace) or raises TrainingDivergedError like ``train_one``.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    ws = init_weights(topology, seed)
+    w1 = ws.w_hidden.copy()
+    b1 = ws.b_hidden.copy()
+    w2 = ws.w_output.copy()
+    b2 = ws.b_output
+    lr = config.learning_rate
+    n = X.shape[0]
+    trace = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.max_epochs):
+            hidden = 1.0 / (1.0 + np.exp(-(X @ w1.T + b1)))
+            out = 1.0 / (1.0 + np.exp(-(hidden @ w2 + b2)))
+            err = out - y
+            loss = float(err @ err) / n
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(epoch, seed)
+            trace.append(loss)
+            if epoch >= PLATEAU_WINDOW and trace[epoch - PLATEAU_WINDOW] - loss < config.loss_tolerance:
+                break
+            d_out = (2.0 / n) * err * out * (1.0 - out)
+            d_hidden = np.outer(d_out, w2) * hidden * (1.0 - hidden)
+            w1 -= lr * (d_hidden.T @ X)
+            b1 -= lr * d_hidden.sum(axis=0)
+            w2 -= lr * (hidden.T @ d_out)
+            b2 -= lr * float(d_out.sum())
+    return WeightSet(w1, b1, w2, b2), trace
+
+
+def assert_same_weights(a, b):
+    assert np.array_equal(a.w_hidden, b.w_hidden)
+    assert np.array_equal(a.b_hidden, b.b_hidden)
+    assert np.array_equal(a.w_output, b.w_output)
+    assert a.b_output == b.b_output
+
+
+def assert_matches_serial(X, y, topology, config):
+    """Every ensemble member and every ``train_one`` run equals the oracle.
+
+    Returns the oracle's trace length per seed (None for a diverged seed).
+    """
+    seeds = [config.seed + k for k in range(config.n_replications)]
+    oracle = {}
+    for seed in seeds:
+        try:
+            oracle[seed] = serial_train_one(X, y, topology, config, seed)
+        except TrainingDivergedError as exc:
+            oracle[seed] = exc
+    for seed in seeds:
+        expected = oracle[seed]
+        if isinstance(expected, TrainingDivergedError):
+            with pytest.raises(TrainingDivergedError) as err:
+                train_one(X, y, topology, config, seed)
+            assert (err.value.epoch, err.value.seed) == (expected.epoch, seed)
+        else:
+            weights, trace = train_one(X, y, topology, config, seed)
+            assert_same_weights(weights, expected[0])
+            assert trace == expected[1]
+    kept = [s for s in seeds if not isinstance(oracle[s], TrainingDivergedError)]
+    active = PSF_ORDER[: topology.n_inputs]
+    maxima = {p: 1.0 for p in active}
+    if not kept:
+        with pytest.raises(NumericalError):
+            train_replicated(X, y, config, active, maxima, topology)
+        return {s: None for s in seeds}
+    pred = train_replicated(X, y, config, active, maxima, topology)
+    assert [m.seed for m in pred.members] == kept
+    assert pred.dropped_seeds == tuple(s for s in seeds if s not in kept)
+    for member in pred.members:
+        weights, trace = oracle[member.seed]
+        assert_same_weights(member.weights, weights)
+        assert member.final_loss == trace[-1]
+    return {s: None if s not in kept else len(oracle[s][1]) for s in seeds}
 
 
 def flatten_grads(grads):
@@ -244,6 +327,54 @@ class TestEnsemble:
         direct = pred.predict_normalized(X)
         via_instances = pred.predict_instances(obs)
         assert np.allclose(direct, via_instances, atol=1e-15)
+
+
+class TestBatchedMatchesSerial:
+    """The batched trainer against the serial one-network oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        n_inputs=st.integers(1, 8),
+        n_hidden=st.integers(1, 8),
+        replications=st.integers(1, 6),
+        max_epochs=st.integers(1, 400),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 10_000),
+        learning_rate=st.floats(0.1, 20.0),
+        tolerance_exponent=st.floats(-8.0, -2.0),
+    )
+    def test_random_problems(self, n, n_inputs, n_hidden, replications, max_epochs,
+                             data_seed, seed, learning_rate, tolerance_exponent):
+        rng = np.random.default_rng(data_seed)
+        X = rng.uniform(0, 1, (n, n_inputs))
+        y = rng.uniform(0, 1, n)
+        cfg = TrainingConfig(
+            seed=seed,
+            max_epochs=max_epochs,
+            learning_rate=learning_rate,
+            loss_tolerance=10.0 ** tolerance_exponent,
+            n_replications=replications,
+        )
+        assert_matches_serial(X, y, Topology(n_inputs, n_hidden), cfg)
+
+    def test_staggered_stops_and_epoch_cap(self):
+        # members stop at five different epochs, two run to the cap, so the
+        # live set is compacted several times before the loop ends
+        rng = np.random.default_rng(14)
+        X = rng.uniform(0, 1, (5, 2))
+        y = rng.uniform(0.1, 0.9, 5)
+        cfg = TrainingConfig(seed=1, max_epochs=300, learning_rate=0.5,
+                             loss_tolerance=1e-4, n_replications=6)
+        lengths = assert_matches_serial(X, y, Topology(2, 2), cfg)
+        assert sorted(lengths.values()) == [101, 116, 139, 223, 300, 300]
+
+    def test_all_diverge_at_once(self):
+        X = np.array([[0.5, 0.5], [0.1, 0.9]])
+        y = np.array([1e300, 0.5])
+        cfg = TrainingConfig(max_epochs=20, n_replications=3)
+        lengths = assert_matches_serial(X, y, Topology(2, 3), cfg)
+        assert set(lengths.values()) == {None}
 
 
 class TestSerialization:

@@ -273,6 +273,13 @@ class TestReportShortCsv:
         assert main(["report", "--result", str(result_dir)]) == 0
         capsys.readouterr()
 
+    def test_stray_directory_exit_2(self, result_dir, capsys):
+        stray = result_dir / "iterations" / "notes"
+        shutil.copytree(result_dir / "iterations" / "01", stray)
+        assert main(["report", "--result", str(result_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(stray) in err and "not an iteration directory" in err
+
     @pytest.mark.parametrize(
         "name, text, where",
         [

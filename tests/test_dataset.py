@@ -200,6 +200,14 @@ class TestDesignIo:
         with pytest.raises(InputError):
             load_design("std,run,A,Q,reliability\n1,1,0.2,0.2,\n")
 
+    def test_path_with_comma(self, tmp_path):
+        path = tmp_path / "dir,x" / "t4.csv"
+        path.parent.mkdir()
+        save_design(bundled_table4(), path)
+        for source in (path, str(path)):
+            rows = load_design(source)
+            assert [r.levels for r in rows] == [r.levels for r in bundled_table4()]
+
     def test_none_response_written_empty(self):
         rows = [DesignRow(1, 1, {"A": 0.5}, None)]
         buf = io.StringIO()

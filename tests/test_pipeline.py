@@ -1,12 +1,17 @@
 """The screening loop, its invariants, and the before/after comparison."""
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import planted_observations
 from hra_forge.ann import TrainingConfig, train_replicated
+from hra_forge.cli import main
 from hra_forge.dataset import bundled_case_study, bundled_refit_comparison, bundled_table4
 from hra_forge.errors import InputError, PipelineAbortedError
 from hra_forge.pipeline import (
+    ITERATION_FILES,
     PipelineConfig,
     REASON_CONVERGED,
     REASON_MAX_ITERATIONS,
@@ -225,3 +230,41 @@ class TestSavedTree:
         lines = (out / "iterations" / "01" / "metrics.csv").read_text().splitlines()
         assert len(lines) == 16
         assert lines[1].split(",")[0] == "Ins 1"
+
+    def test_shorter_rerun_removes_stale_artifacts(self, reference_result, tmp_path, capsys):
+        obs = bundled_case_study()
+        out = tmp_path / "res"
+        save_result(reference_result, obs, out)
+        assert main(["report", "--result", str(out)]) == 0
+        assert len(list(out.glob("*_02.svg"))) == 4
+        shorter = replace(reference_result, iterations=reference_result.iterations[:1])
+        save_result(shorter, obs, out)
+        assert os.listdir(out / "iterations") == ["01"]
+        assert sorted(os.listdir(out / "iterations" / "01")) == sorted(ITERATION_FILES)
+        assert list(out.glob("*.svg")) == []
+        assert main(["report", "--result", str(out)]) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in out.glob("*.svg")) == [
+            "hep_observed_vs_predicted_01.svg",
+            "reliability_observed_vs_predicted_01.svg",
+            "residuals_normal_01.svg",
+            "residuals_vs_predicted_01.svg",
+        ]
+
+    def test_rerun_keeps_files_it_did_not_write(self, reference_result, tmp_path):
+        obs = bundled_case_study()
+        out = tmp_path / "res"
+        save_result(reference_result, obs, out)
+        foreign = [
+            out / "iterations" / "02" / "notes.txt",
+            out / "iterations" / "draft",
+            out / "my_plot_02.svg",
+            out / "residuals_normal_final.svg",
+        ]
+        foreign[1].mkdir()
+        for path in (foreign[0], foreign[2], foreign[3]):
+            path.write_text("kept\n")
+        shorter = replace(reference_result, iterations=reference_result.iterations[:1])
+        save_result(shorter, obs, out)
+        assert all(path.exists() for path in foreign)
+        assert os.listdir(out / "iterations" / "02") == ["notes.txt"]

@@ -181,8 +181,7 @@ def cmd_screen(args) -> int:
     coding = rsm.infer_coding(rows)
     power = args.power if args.power is not None else 3.0
     full = rsm.full_quadratic(letters, power)
-    reduced, steps = rsm.backward_eliminate(rows, full, args.alpha, coding)
-    table = rsm.anova(rsm.fit(rows, reduced, coding), rows)
+    reduced, steps, _, table = rsm._eliminate(rows, full, args.alpha, coding)
     active = [PsfId.from_letter(l) for l in letters]
     report = rsm.screen_psfs(reduced, active, table.term_pvalues())
     print(f"reduced model: {reduced.to_text()}")

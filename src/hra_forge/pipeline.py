@@ -36,11 +36,9 @@ from .rsm import (
     FitResult,
     ModelSpec,
     ScreeningReport,
-    anova,
+    _eliminate,
     anova_csv_text,
-    backward_eliminate,
     evaluate_design,
-    fit,
     full_quadratic,
     generate_ccd,
     infer_coding,
@@ -48,6 +46,9 @@ from .rsm import (
     screening_text,
     uniform_coding,
 )
+# Not called here; kept as module names because perfbench/spans.py wraps
+# them in this namespace when tracing.
+from .rsm import anova, backward_eliminate, fit  # noqa: F401
 
 REASON_CONVERGED = "no-elimination"
 REASON_MAX_ITERATIONS = "max-iterations"
@@ -174,9 +175,7 @@ def _run_iteration(
         rows = evaluate_design(rows, predictor)
 
     full = full_quadratic(letters, config.response_power)
-    reduced, steps = backward_eliminate(rows, full, config.alpha, coding)
-    reduced_fit = fit(rows, reduced, coding)
-    table = anova(reduced_fit, rows)
+    reduced, steps, reduced_fit, table = _eliminate(rows, full, config.alpha, coding)
     screening = screen_psfs(reduced, active, table.term_pvalues())
 
     return IterationRecord(

@@ -28,3 +28,23 @@ def planted_observations(n=48, seed=7):
         for i in range(n)
     )
     return ObservationSet(instances)
+
+
+def count_calls(monkeypatch, names, *modules):
+    """Count calls to the functions ``names`` of ``modules[0]``.
+
+    Every module in ``modules`` gets the same counting wrapper, so calls
+    made through a name imported into another module count too. Returns
+    the dict of counts, which fills as the wrapped functions run.
+    """
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(modules[0], name)
+
+        def wrapper(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls

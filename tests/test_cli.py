@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import hra_forge
+from conftest import count_calls
+from hra_forge import rsm
 from hra_forge.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -153,6 +155,13 @@ class TestScreenCommand:
         assert "Procedures: eliminated" in text
         stdout = capsys.readouterr().out
         assert "reduced model" in stdout
+
+    def test_screen_reuses_elimination_fit_and_anova(self, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, ("fit", "anova"), rsm)
+        assert main(["screen"]) == 0
+        removed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("removed ")]
+        steps = int(removed[0].split()[1])
+        assert calls == {"fit": steps + 1, "anova": steps + 1}
 
 
 class TestPipelineCommand:

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import planted_observations
+from conftest import count_calls, planted_observations
+from hra_forge import pipeline, rsm
 from hra_forge.ann import TrainingConfig, train_replicated
 from hra_forge.cli import main
 from hra_forge.dataset import bundled_case_study, bundled_refit_comparison, bundled_table4
@@ -104,6 +105,16 @@ class TestLoopControl:
         assert files_a == files_b
         for rel in files_a:
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
+
+    def test_iteration_reuses_elimination_fit_and_anova(self, monkeypatch):
+        # the reduced spec's fit and ANOVA come from elimination's last pass
+        calls = count_calls(monkeypatch, ("fit", "anova"), rsm, pipeline)
+        result = run(bundled_case_study(), reference_config(
+            training=TrainingConfig(n_replications=1, max_epochs=200), max_iterations=1,
+        ))
+        steps = len(result.iterations[0].elimination_steps)
+        assert steps > 0
+        assert calls == {"fit": steps + 1, "anova": steps + 1}
 
     def test_initial_design_letter_mismatch(self):
         rows = bundled_table4()

@@ -1,6 +1,11 @@
 """Response-surface fitting, ANOVA, designs, elimination, screening."""
 import itertools
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,8 @@ from hra_forge.rsm import (
     DEFAULT_AXIAL,
     FactorCoding,
     ModelSpec,
+    AnovaRow,
+    AnovaTable,
     anova,
     anova_csv_text,
     backward_eliminate,
@@ -187,6 +194,178 @@ class TestAnova:
         model_line = lines[1].split(",")
         assert model_line[0] == "Model"
         assert float(model_line[1]) == table["Model"].ss
+
+
+def column_deletion_anova(fit_result, rows):
+    """Test oracle: the ANOVA by its definition, one refit per term.
+
+    Each term's SS is the rise in SSE when that column alone is deleted and
+    the model refit by ``lstsq``; pure error pools each replicate group's
+    deviations from its own mean. This is how ``anova`` computed the table
+    before it read term SS off one QR factorization.
+    """
+    spec = fit_result.spec
+    X = model_matrix(rows, spec, fit_result.coding)
+    z = np.array([r.response for r in rows], dtype=float) ** spec.response_power
+
+    def sse_of(matrix):
+        coef, _, _, _ = np.linalg.lstsq(matrix, z, rcond=None)
+        resid = z - matrix @ coef
+        return float(resid @ resid)
+
+    n = len(rows)
+    sse = fit_result.sse
+    ss_total = float(((z - z.mean()) ** 2).sum())
+    ss_model = float(((fit_result.fitted - z.mean()) ** 2).sum())
+    df_model = len(spec.terms) - 1
+    df_resid = n - len(spec.terms)
+    ms_model = ss_model / df_model
+    ms_resid = sse / df_resid
+    f_model = ms_model / ms_resid
+    out = [
+        AnovaRow("Model", ss_model, df_model, ms_model, f_model,
+                 rsm._f_pvalue(f_model, df_model, df_resid))
+    ]
+    for i, term in enumerate(spec.terms):
+        if term == intercept():
+            continue
+        ss_term = max(sse_of(np.delete(X, i, axis=1)) - sse, 0.0)
+        f_term = ss_term / ms_resid
+        out.append(AnovaRow(str(term), ss_term, 1, ss_term, f_term,
+                            rsm._f_pvalue(f_term, 1, df_resid)))
+    out.append(AnovaRow("Residual", sse, df_resid, ms_resid, None, None))
+    groups = {}
+    letters = sorted(rows[0].levels)
+    for r, zv in zip(rows, z):
+        groups.setdefault(tuple(r.levels[l] for l in letters), []).append(zv)
+    df_pe = sum(len(v) - 1 for v in groups.values())
+    if df_pe > 0:
+        ss_pe = float(
+            sum(((np.array(v) - np.mean(v)) ** 2).sum() for v in groups.values())
+        )
+        ss_lof = max(sse - ss_pe, 0.0)
+        df_lof = df_resid - df_pe
+        ms_pe = ss_pe / df_pe
+        ms_lof = ss_lof / df_lof if df_lof > 0 else 0.0
+        f_lof = (ms_lof / ms_pe) if ms_pe > 0 else math.inf
+        p_lof = rsm._f_pvalue(f_lof, df_lof, df_pe) if df_lof > 0 else None
+        out.append(AnovaRow("Lack of Fit", ss_lof, df_lof, ms_lof,
+                            f_lof if df_lof > 0 else None, p_lof))
+        out.append(AnovaRow("Pure Error", ss_pe, df_pe, ms_pe, None, None))
+    out.append(AnovaRow("Cor Total", ss_total, n - 1, None, None, None))
+    return AnovaTable(tuple(out))
+
+
+def planted_ab_ccd(rng, k):
+    """A CCD on A, B and k - 2 inert factors; A and B carry a quadratic."""
+    others = sorted(rng.choice(list("CDEFGH"), size=k - 2, replace=False).tolist())
+    letters = ["A", "B"] + others
+    coding = uniform_coding(letters)
+    rows = generate_ccd(letters, coding, n_center=6)
+    filled = []
+    for row, e in zip(rows, rng.normal(0.0, 0.3, size=len(rows))):
+        a = coding.code("A", row.levels["A"])
+        b = coding.code("B", row.levels["B"])
+        y = 85.0 + 4.0 * a + 3.0 * b + 1.5 * a * b - 2.0 * a * a + float(e)
+        filled.append(replace(row, response=y))
+    return sorted(letters), coding, filled
+
+
+RTOL = 1e-9
+
+
+def rel_gap(a, b, floor=0.0):
+    if a == b:  # also None == None and inf == inf
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b), floor)
+
+
+def assert_matches_column_deletion(table, oracle):
+    """Model, Residual and Cor Total bit for bit; the rest within RTOL.
+
+    Term SS and F are compared relative to max(F, 1): a term whose F is far
+    below 1 has an SS below the residual mean square, where the oracle's
+    difference of two SSEs carries its own rounding of about eps * SSE.
+    """
+    assert [r.source for r in table.rows] == [r.source for r in oracle.rows]
+    ms_resid = oracle["Residual"].ms
+    for got, want in zip(table.rows, oracle.rows):
+        assert got.df == want.df, got.source
+        if got.source in ("Model", "Residual", "Cor Total"):
+            assert got == want
+            continue
+        term = got.source not in ("Lack of Fit", "Pure Error")
+        gaps = (
+            rel_gap(got.ss, want.ss, ms_resid if term else 0.0),
+            rel_gap(got.ms, want.ms, ms_resid if term else 0.0),
+            rel_gap(got.f, want.f, 1.0 if term else 0.0),
+            rel_gap(got.p, want.p),
+        )
+        assert max(gaps) <= RTOL, (got, want, gaps)
+
+
+class TestQrAnovaMatchesColumnDeletion:
+    def test_random_ccds(self):
+        rng = np.random.default_rng(4711)
+        for case in range(40):
+            k = 2 + case % 5
+            letters, coding, rows = random_ccd_case(rng, k)
+            spec = full_quadratic(letters, 1.0 + 2.0 * (case % 2))
+            result = fit(rows, spec, coding)
+            assert_matches_column_deletion(
+                anova(result, rows), column_deletion_anova(result, rows)
+            )
+
+    @pytest.mark.parametrize("power", [1.0, 3.0])
+    def test_table4(self, power):
+        rows = bundled_table4()
+        coding = infer_coding(rows)
+        for spec in (full_quadratic(sorted(rows[0].levels), power),
+                     replace(PAPER_SPEC, response_power=power)):
+            result = fit(rows, spec, coding)
+            assert_matches_column_deletion(
+                anova(result, rows), column_deletion_anova(result, rows)
+            )
+
+    def test_elimination_trail_identical(self, monkeypatch):
+        rng = np.random.default_rng(1234)
+        table4 = bundled_table4()
+        cases = [(sorted(table4[0].levels), infer_coding(table4), table4)]
+        cases += [planted_ab_ccd(rng, k) for k in (4, 5, 6, 7, 8) for _ in range(2)]
+        kept = []
+        for letters, coding, rows in cases:
+            full = full_quadratic(letters, 3.0)
+            reduced, steps = backward_eliminate(rows, full, 0.05, coding)
+            with monkeypatch.context() as m:
+                m.setattr(rsm, "anova", column_deletion_anova)
+                want_reduced, want_steps = backward_eliminate(rows, full, 0.05, coding)
+            assert reduced == want_reduced
+            assert [(s.term, s.sse_after) for s in steps] == [
+                (s.term, s.sse_after) for s in want_steps
+            ]
+            for got, want in zip(steps, want_steps):
+                assert rel_gap(got.p_value, want.p_value) <= RTOL
+            kept.append(set(reduced.letters()))
+        assert kept[0] == set("ACDH")
+        assert all({"A", "B"} <= letters for letters in kept[1:])
+
+
+class TestImportFootprint:
+    def test_anova_does_not_import_scipy_linalg(self):
+        # scipy.linalg alone adds about 14% to the peak RSS of a screening run
+        code = (
+            "import sys, hra_forge\n"
+            "from hra_forge import rsm\n"
+            "rows = hra_forge.bundled_table4()\n"
+            "spec = rsm.full_quadratic(sorted(rows[0].levels), 3.0)\n"
+            "rsm.anova(rsm.fit(rows, spec, rsm.infer_coding(rows)), rows)\n"
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(rsm.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTermsAndSpecs:

@@ -18,8 +18,12 @@ import hashlib
 import importlib.resources
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import InputError
 from .ioutil import atomic_write_text, fmt_full
@@ -51,31 +55,92 @@ class Instance:
             )
 
 
-@dataclass(frozen=True)
-class ObservationSet:
-    """An ordered collection of instances."""
+def _trusted(cls, **fields):
+    """A frozen dataclass value whose fields were validated elsewhere."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
-    instances: tuple[Instance, ...]
+
+@dataclass(frozen=True, eq=False)
+class ObservationSet:
+    """An ordered collection of instances, stored as columns.
+
+    ``ids`` holds one id per row, ``psfs`` the (n, 8) raw multipliers in
+    ``PSF_ORDER``, ``hep`` the observed HEPs and ``trials`` one trial count
+    (or None) per row. Every PSF is finite and > 0, every HEP in [0, 1],
+    every trial count >= 1 and every id unique. The arrays are read-only.
+    """
+
+    ids: tuple[str, ...]
+    psfs: np.ndarray
+    hep: np.ndarray
+    trials: tuple[Optional[int], ...]
 
     def __post_init__(self):
-        ids = [inst.id for inst in self.instances]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        ids, trials = tuple(self.ids), tuple(self.trials)
+        n = len(ids)
+        psfs = np.array(self.psfs, dtype=float, order="C")
+        hep = np.array(self.hep, dtype=float)
+        if psfs.shape != (n, len(PSF_ORDER)) or hep.shape != (n,) or len(trials) != n:
+            raise InputError(
+                f"observation columns disagree: {n} ids, PSFs of shape "
+                f"{psfs.shape}, {hep.size} HEPs, {len(trials)} trial counts"
+            )
+        if not ((psfs > 0.0) & (psfs < math.inf)).all():
+            raise InputError("PSF multipliers must be finite and > 0")
+        if not ((hep >= 0.0) & (hep <= 1.0)).all():
+            raise InputError("observed HEPs must be in [0, 1]")
+        if any(t is not None and t < 1 for t in trials):
+            raise InputError("trial counts must be >= 1")
+        dupes = sorted(i for i, k in Counter(ids).items() if k > 1)
+        if dupes:
             raise InputError(f"duplicate instance ids: {', '.join(dupes)}")
+        for arr in (psfs, hep):
+            arr.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "psfs", psfs)
+        object.__setattr__(self, "hep", hep)
+        object.__setattr__(self, "trials", trials)
+
+    @classmethod
+    def from_instances(cls, instances: Sequence[Instance]) -> "ObservationSet":
+        """The set of the given instances, in order."""
+        return cls(
+            tuple(inst.id for inst in instances),
+            np.array(
+                [inst.psfs.as_tuple() for inst in instances], dtype=float
+            ).reshape(len(instances), len(PSF_ORDER)),
+            [float(inst.observed_hep) for inst in instances],
+            tuple(inst.trials for inst in instances),
+        )
+
+    @cached_property
+    def instances(self) -> tuple[Instance, ...]:
+        """One Instance per row, built on first use from the checked columns."""
+        return tuple(
+            _trusted(
+                Instance,
+                id=i,
+                psfs=_trusted(PsfVector, values=dict(zip(PSF_ORDER, row))),
+                observed_hep=_trusted(Probability, value=h),
+                trials=t,
+            )
+            for i, row, h, t in zip(
+                self.ids, self.psfs.tolist(), self.hep.tolist(), self.trials
+            )
+        )
 
     def __len__(self):
-        return len(self.instances)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.instances)
 
     def matrix(self, active: Sequence[PsfId]):
         """Raw multiplier matrix restricted to the given PSFs, row per instance."""
-        import numpy as np
-
-        return np.array(
-            [[inst.psfs[p] for p in active] for inst in self.instances], dtype=float
-        )
+        return self.psfs.take([PSF_ORDER.index(p) for p in active], axis=1)
 
     def normalized(self, active: Sequence[PsfId]):
         """Scale each active PSF column by its maximum over the set.
@@ -84,16 +149,14 @@ class ObservationSet:
         columns each peak at 1, and the per-PSF denominators, which a
         predictor stores so later instances share the same scaling.
         """
-        if not self.instances:
+        if not len(self):
             raise InputError("cannot normalize an empty observation set")
         raw = self.matrix(active)
         maxima = raw.max(axis=0)
         return raw / maxima, dict(zip(active, maxima.tolist()))
 
     def targets(self):
-        import numpy as np
-
-        return np.array([float(inst.observed_hep) for inst in self.instances])
+        return self.hep.copy()
 
 
 @dataclass(frozen=True)
@@ -149,12 +212,13 @@ def _parse_int(cell: str, rowno: int, column: str) -> int:
 
 
 def _read_csv_lines(text: str) -> list[list[str]]:
-    rows = []
-    for raw in text.splitlines():
-        if raw.strip() == "":
-            continue
-        rows.append([cell.strip() for cell in raw.split(",")])
-    return rows
+    return [
+        [cell.strip() for cell in raw.split(",")] for raw in _nonblank_lines(text)
+    ]
+
+
+def _nonblank_lines(text: str) -> list[str]:
+    return [raw for raw in text.splitlines() if raw.strip() != ""]
 
 
 def load_observations(source) -> ObservationSet:
@@ -162,57 +226,80 @@ def load_observations(source) -> ObservationSet:
 
     Errors name the offending row and column. Row order is preserved.
     """
-    text = _slurp(source)
-    lines = _read_csv_lines(text)
+    lines = _nonblank_lines(_slurp(source))
     if not lines:
         raise InputError("observations file is empty (expected a header row)")
-    header = tuple(lines[0])
-    if header == _OBS_COLUMNS:
-        has_trials = False
-    elif header == _OBS_COLUMNS_TRIALS:
-        has_trials = True
-    else:
+    header = tuple(cell.strip() for cell in lines[0].split(","))
+    if header not in (_OBS_COLUMNS, _OBS_COLUMNS_TRIALS):
         raise InputError(
             "unknown observations header: expected "
             + ",".join(_OBS_COLUMNS)
             + " (optionally with a trailing trials column), got "
             + ",".join(header)
         )
-    instances = []
-    for rowno, cells in enumerate(lines[1:], start=1):
-        if len(cells) != len(header):
-            raise InputError(
-                f"row {rowno}: expected {len(header)} cells, got {len(cells)}"
-            )
-        values = {
-            psf: _parse_float(cells[1 + i], rowno, psf.column)
-            for i, psf in enumerate(PSF_ORDER)
-        }
-        hep_cell = _parse_float(cells[9], rowno, "hep")
-        if not 0.0 <= hep_cell <= 1.0:
-            raise InputError(f"row {rowno}: hep {hep_cell} outside [0, 1]")
-        trials = None
-        if has_trials and cells[10] != "":
-            trials = _parse_int(cells[10], rowno, "trials")
-        try:
-            inst = Instance(cells[0], PsfVector(values), Probability(hep_cell), trials)
-        except InputError as exc:
-            raise InputError(f"row {rowno}: {exc}") from None
-        instances.append(inst)
-    return ObservationSet(tuple(instances))
+    body, width = lines[1:], len(header)
+    try:
+        return _parse_observation_columns(body, width)
+    except (ValueError, InputError):
+        # name the first bad row and column; when every row passes, the
+        # fault is a duplicate id, which the set's own message names
+        for rowno, raw in enumerate(body, start=1):
+            _check_observation_row(rowno, [c.strip() for c in raw.split(",")], width)
+        raise
+
+
+def _parse_observation_columns(body: list[str], width: int) -> ObservationSet:
+    """The rows' cells parsed column by column with Python ``float``.
+
+    Raises ValueError or InputError when any row is malformed, without
+    naming the first bad row; ``_check_observation_row`` names it.
+    """
+    if any(raw.count(",") != width - 1 for raw in body):
+        raise ValueError("rows differ in length")
+    cells = ",".join(body).split(",") if body else []
+    numbers = np.array([list(map(float, cells[j::width])) for j in range(1, 10)])
+    trials = (None,) * len(body)
+    if width > 10:
+        trials = tuple(
+            None if cell == "" else _parse_int(cell, rowno, "trials")
+            for rowno, cell in enumerate(map(str.strip, cells[10::width]), start=1)
+        )
+    return ObservationSet(
+        tuple(map(str.strip, cells[0::width])), numbers[:8].T, numbers[8], trials
+    )
+
+
+def _check_observation_row(rowno: int, cells: list[str], width: int) -> None:
+    """Raise the InputError for the first fault in one observation row."""
+    if len(cells) != width:
+        raise InputError(f"row {rowno}: expected {width} cells, got {len(cells)}")
+    values = {
+        psf: _parse_float(cells[1 + i], rowno, psf.column)
+        for i, psf in enumerate(PSF_ORDER)
+    }
+    hep_cell = _parse_float(cells[9], rowno, "hep")
+    if not 0.0 <= hep_cell <= 1.0:
+        raise InputError(f"row {rowno}: hep {hep_cell} outside [0, 1]")
+    trials = None
+    if width > 10 and cells[10] != "":
+        trials = _parse_int(cells[10], rowno, "trials")
+    try:
+        Instance(cells[0], PsfVector(values), Probability(hep_cell), trials)
+    except InputError as exc:
+        raise InputError(f"row {rowno}: {exc}") from None
 
 
 def save_observations(obs: ObservationSet, sink) -> None:
     """Write an observation CSV; numeric cells carry full double precision."""
-    has_trials = any(inst.trials is not None for inst in obs.instances)
+    has_trials = any(t is not None for t in obs.trials)
     header = _OBS_COLUMNS_TRIALS if has_trials else _OBS_COLUMNS
     lines = [",".join(header)]
-    for inst in obs.instances:
-        cells = [inst.id]
-        cells += [fmt_full(inst.psfs[p]) for p in PSF_ORDER]
-        cells.append(fmt_full(float(inst.observed_hep)))
+    for id_, row, hep, trials in zip(
+        obs.ids, obs.psfs.tolist(), obs.hep.tolist(), obs.trials
+    ):
+        cells = [id_] + [fmt_full(v) for v in row] + [fmt_full(hep)]
         if has_trials:
-            cells.append("" if inst.trials is None else str(inst.trials))
+            cells.append("" if trials is None else str(trials))
         lines.append(",".join(cells))
     _emit(sink, "\n".join(lines) + "\n")
 
@@ -350,12 +437,7 @@ def bundled_case_study() -> ObservationSet:
     observed HEP per instance differs, where the published table rounded or
     misprinted values that the accompanying error arithmetic pins exactly.
     """
-    base = bundled_table2()
-    instances = tuple(
-        replace(inst, observed_hep=Probability(h))
-        for inst, h in zip(base.instances, _CASE_STUDY_HEP)
-    )
-    return ObservationSet(instances)
+    return replace(bundled_table2(), hep=_CASE_STUDY_HEP)
 
 
 def bundled_reference_fit() -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -210,15 +211,47 @@ class ComparisonRow:
         return self.se_after - self.se_before
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    rows: tuple[ComparisonRow, ...]
+    """Per-instance columns of a before/after comparison, one entry per row.
+
+    ``observed``, ``predicted_before``, ``predicted_after``, ``se_before``
+    and ``se_after`` are float arrays aligned with ``ids``.
+    """
+
+    ids: tuple[str, ...]
+    observed: np.ndarray
+    predicted_before: np.ndarray
+    predicted_after: np.ndarray
+    se_before: np.ndarray
+    se_after: np.ndarray
     mse_before: float
     mse_after: float
 
     @property
     def mse_delta(self) -> float:
         return self.mse_after - self.mse_before
+
+    @cached_property
+    def rows(self) -> tuple[ComparisonRow, ...]:
+        return tuple(
+            ComparisonRow(*cells)
+            for cells in zip(
+                self.ids,
+                self.observed.tolist(),
+                self.predicted_before.tolist(),
+                self.predicted_after.tolist(),
+                self.se_before.tolist(),
+                self.se_after.tolist(),
+            )
+        )
+
+
+def _squared_errors(predicted, observed) -> np.ndarray:
+    # Python's float ** 2 is libm pow(), which can differ from the x * x
+    # that an array ** 2 computes in the last ulp; the saved comparison
+    # keeps pow()'s rounding
+    return np.array([d ** 2 for d in (predicted - observed).tolist()])
 
 
 def compare_before_after(
@@ -230,40 +263,36 @@ def compare_before_after(
     before = predictor_before.predict_instances(observations)
     after = predictor_after.predict_instances(observations)
     y = observations.targets()
-    rows = tuple(
-        ComparisonRow(
-            id=inst.id,
-            observed=float(obs),
-            predicted_before=float(pb),
-            predicted_after=float(pa),
-            se_before=float((pb - obs) ** 2),
-            se_after=float((pa - obs) ** 2),
-        )
-        for inst, obs, pb, pa in zip(observations, y, before, after)
-    )
+    se_before = _squared_errors(before, y)
+    se_after = _squared_errors(after, y)
     return ComparisonReport(
-        rows,
-        mse_before=float(np.mean([(r.predicted_before - r.observed) ** 2 for r in rows])),
-        mse_after=float(np.mean([(r.predicted_after - r.observed) ** 2 for r in rows])),
+        observations.ids,
+        y,
+        before,
+        after,
+        se_before,
+        se_after,
+        mse_before=float(np.mean(se_before)),
+        mse_after=float(np.mean(se_after)),
     )
 
 
 def comparison_csv_text(report: ComparisonReport) -> str:
     lines = ["id,observed_hep,predicted_before,predicted_after,se_before,se_after,delta"]
-    for r in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    r.id,
-                    fmt_full(r.observed),
-                    fmt_full(r.predicted_before),
-                    fmt_full(r.predicted_after),
-                    fmt_full(r.se_before),
-                    fmt_full(r.se_after),
-                    fmt_full(r.delta),
-                ]
-            )
+    delta = report.se_after - report.se_before
+    # %.17g is fmt_full's format
+    lines += [
+        "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % cells
+        for cells in zip(
+            report.ids,
+            report.observed.tolist(),
+            report.predicted_before.tolist(),
+            report.predicted_after.tolist(),
+            report.se_before.tolist(),
+            report.se_after.tolist(),
+            delta.tolist(),
         )
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -271,19 +300,13 @@ def comparison_csv_text(report: ComparisonReport) -> str:
 
 def _metrics_csv_text(record: IterationRecord, observations: ObservationSet) -> str:
     lines = ["id,observed_hep,predicted_hep,squared_error"]
-    for inst, pred, se in zip(
-        observations, record.predicted, record.metric_report.se
+    for id_, observed, pred, se in zip(
+        observations.ids,
+        observations.hep.tolist(),
+        record.predicted,
+        record.metric_report.se,
     ):
-        lines.append(
-            ",".join(
-                [
-                    inst.id,
-                    fmt_full(float(inst.observed_hep)),
-                    fmt_full(pred),
-                    fmt_full(se),
-                ]
-            )
-        )
+        lines.append(",".join([id_, fmt_full(observed), fmt_full(pred), fmt_full(se)]))
     return "\n".join(lines) + "\n"
 
 

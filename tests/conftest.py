@@ -27,7 +27,7 @@ def planted_observations(n=48, seed=7):
         )
         for i in range(n)
     )
-    return ObservationSet(instances)
+    return ObservationSet.from_instances(instances)
 
 
 def count_calls(monkeypatch, names, *modules):

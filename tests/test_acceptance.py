@@ -124,17 +124,15 @@ def test_criterion_4_screening():
 def test_criterion_5_trainability():
     t0 = time.perf_counter()
     obs = hf.bundled_table2()
-    raw = obs.matrix(PSF_ORDER)
-    X = raw / raw.max(axis=0)
-    y = obs.targets()
-    topo = hf.default_topology(8)
-    reached = 0
-    losses = []
-    for seed in range(1, 11):
-        _, trace = hf.train_one(X, y, topo, hf.TrainingConfig(), seed)
-        losses.append(trace[-1])
-        if trace[-1] <= 1.0e-3:
-            reached += 1
+    X, maxima = obs.normalized(PSF_ORDER)
+    # seeds 1..10 in one batch; each member is bit for bit train_one's
+    # network for its seed
+    config = hf.TrainingConfig(seed=1, n_replications=10)
+    pred = hf.train_replicated(X, obs.targets(), config, PSF_ORDER, maxima)
+    assert pred.dropped_seeds == ()
+    assert [m.seed for m in pred.members] == list(range(1, 11))
+    losses = [m.final_loss for m in pred.members]
+    reached = sum(loss <= 1.0e-3 for loss in losses)
     elapsed = time.perf_counter() - t0
     report(
         "criterion 5 (trainability)",
@@ -179,14 +177,13 @@ def test_criterion_7_post_elimination_direction():
     y = obs.targets()
 
     def median_loss(active):
-        raw = obs.matrix(active)
-        X = raw / raw.max(axis=0)
-        topo = hf.default_topology(len(active))
-        losses = []
-        for seed in range(1, 21):
-            _, trace = hf.train_one(X, y, topo, hf.TrainingConfig(), seed)
-            losses.append(trace[-1])
-        return float(np.median(losses))
+        X, maxima = obs.normalized(active)
+        # seeds 1..20 in one batch, each member bit for bit train_one's
+        config = hf.TrainingConfig(seed=1, n_replications=20)
+        pred = hf.train_replicated(X, y, config, active, maxima)
+        assert pred.dropped_seeds == ()
+        assert [m.seed for m in pred.members] == list(range(1, 21))
+        return float(np.median([m.final_loss for m in pred.members]))
 
     med8 = median_loss(list(PSF_ORDER))
     med7 = median_loss([p for p in PSF_ORDER if p is not PsfId.Procedures])

@@ -1,11 +1,18 @@
 """Observation and design files, plus the bundled fixtures."""
 import io
+import math
+import re
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hra_forge.dataset import (
     DesignRow,
+    Instance,
+    ObservationSet,
     bundled_case_study,
     bundled_refit_comparison,
     bundled_reference_fit,
@@ -17,12 +24,282 @@ from hra_forge.dataset import (
     save_observations,
 )
 from hra_forge.errors import InputError
-from hra_forge.psf import PSF_ORDER, PsfId
+from hra_forge.psf import PSF_ORDER, Probability, PsfId, PsfVector
 
 OBS_HEADER = (
     "id,available_time,stress,complexity,experience_training,"
     "procedures,ergonomics,fitness_for_duty,work_process,hep"
 )
+
+
+def _legacy_float(cell, rowno, column):
+    try:
+        return float(cell)
+    except ValueError:
+        raise InputError(
+            f"row {rowno}: column {column!r} is not numeric: {cell!r}"
+        ) from None
+
+
+def _legacy_int(cell, rowno, column):
+    value = _legacy_float(cell, rowno, column)
+    if not (math.isfinite(value) and value.is_integer()):
+        raise InputError(
+            f"row {rowno}: column {column!r} is not an integer: {cell!r}"
+        )
+    return int(value)
+
+
+def legacy_load_observations(text):
+    """Reference loader: one Instance per row, each cell parsed on its own.
+
+    The columnar loader must accept exactly what this accepts, with the same
+    values, and reject the rest with the same message. Returns the list of
+    instances.
+    """
+    lines = [
+        [cell.strip() for cell in raw.split(",")]
+        for raw in text.splitlines()
+        if raw.strip() != ""
+    ]
+    header = tuple(lines[0])
+    columns = tuple(OBS_HEADER.split(","))
+    assert header in (columns, columns + ("trials",))
+    instances = []
+    for rowno, cells in enumerate(lines[1:], start=1):
+        if len(cells) != len(header):
+            raise InputError(
+                f"row {rowno}: expected {len(header)} cells, got {len(cells)}"
+            )
+        values = {
+            psf: _legacy_float(cells[1 + i], rowno, psf.column)
+            for i, psf in enumerate(PSF_ORDER)
+        }
+        hep_cell = _legacy_float(cells[9], rowno, "hep")
+        if not 0.0 <= hep_cell <= 1.0:
+            raise InputError(f"row {rowno}: hep {hep_cell} outside [0, 1]")
+        trials = None
+        if len(header) > 10 and cells[10] != "":
+            trials = _legacy_int(cells[10], rowno, "trials")
+        try:
+            inst = Instance(cells[0], PsfVector(values), Probability(hep_cell), trials)
+        except InputError as exc:
+            raise InputError(f"row {rowno}: {exc}") from None
+        instances.append(inst)
+    ids = [inst.id for inst in instances]
+    if len(set(ids)) != len(ids):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        raise InputError(f"duplicate instance ids: {', '.join(dupes)}")
+    return instances
+
+
+def _rows_of(instances):
+    """Each instance as (id, PSF bits, HEP bits, trials), floats by their hex."""
+    return [
+        (
+            inst.id,
+            tuple(v.hex() for v in inst.psfs.as_tuple()),
+            float(inst.observed_hep).hex(),
+            inst.trials,
+        )
+        for inst in instances
+    ]
+
+
+def _outcome(load, text):
+    """("ok", rows) for an accepted text, ("error", message) for a rejected one."""
+    try:
+        return "ok", _rows_of(load(text))
+    except InputError as exc:
+        return "error", str(exc)
+
+
+def _columnar_instances(text):
+    """The loaded set's instances, checked against the set's own columns."""
+    obs = load_observations(io.StringIO(text))
+    rows = _rows_of(obs.instances)
+    columns = [
+        (i, tuple(v.hex() for v in psfs), h.hex(), t)
+        for i, psfs, h, t in zip(obs.ids, obs.psfs.tolist(), obs.hep.tolist(), obs.trials)
+    ]
+    assert columns == rows
+    assert all(t is None or type(t) is int for t in obs.trials)
+    return obs.instances
+
+
+_positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False, allow_infinity=False)
+_probability = st.floats(min_value=0.0, max_value=1.0)
+_number_text = st.sampled_from([repr, "{:.3g}".format, "{:e}".format, "{:.17g}".format])
+_pad = st.sampled_from(["", " ", "  ", "\t", " \t "])
+
+
+@st.composite
+def valid_observation_csv(draw):
+    """Observation CSV text the legacy loader accepts, in varied spellings."""
+    has_trials = draw(st.booleans())
+    ids = draw(
+        st.lists(
+            st.text(alphabet="Ins 019_-", min_size=1, max_size=6).map(str.strip),
+            max_size=8,
+            unique=True,
+        )
+    )
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    header = OBS_HEADER + (",trials" if has_trials else "")
+    lines = [header]
+    for id_ in ids:
+        psfs = draw(st.lists(_positive, min_size=8, max_size=8))
+        cells = [id_] + [draw(_number_text)(v) for v in psfs]
+        cells.append(draw(_number_text)(draw(_probability)))
+        if has_trials:
+            trials = draw(st.one_of(st.none(), st.integers(1, 10**6)))
+            spell = draw(st.sampled_from([str, "{}.0".format, "{:e}".format]))
+            cells.append("" if trials is None else spell(trials))
+        lines.append(",".join(draw(_pad) + c + draw(_pad) for c in cells))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    lead = draw(st.sampled_from(["", eol, " " + eol]))
+    return lead + eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+_GOOD_CELLS = ["1", "2", "0.5", "3", "4", "1.5", "1", "2", "0.25", "40"]
+
+
+def _trials_text(*faults):
+    """Three rows under the trials header; each fault is (row, column, cell).
+
+    ``column`` indexes the cells after the id (0-7 PSFs, 8 hep, 9 trials);
+    a cell of None drops the column, a list appends extra cells.
+    """
+    lines = [OBS_HEADER + ",trials"]
+    for row in (1, 2, 3):
+        cells = list(_GOOD_CELLS)
+        for at, column, cell in faults:
+            if at != row:
+                continue
+            if cell is None:
+                del cells[column:]
+            elif isinstance(cell, list):
+                cells += cell
+            else:
+                cells[column] = cell
+        lines.append(",".join([f"I{row}"] + cells))
+    return "\n".join(lines) + "\n"
+
+
+OBSERVATION_EDGE_CASES = {
+    **{
+        f"non-numeric {name}": _trials_text((1, k, "abc"))
+        for k, name in enumerate([p.column for p in PSF_ORDER] + ["hep", "trials"])
+    },
+    **{
+        f"psf {cell!r}": _trials_text((1, 2, cell))
+        for cell in ["nan", "inf", "-inf", "1e400", "0", "-0", "-2.5", ""]
+    },
+    **{f"hep {cell!r}": _trials_text((1, 8, cell)) for cell in ["-0.1", "1.5", "nan", ""]},
+    **{
+        f"trials {cell!r}": _trials_text((1, 9, cell))
+        for cell in ["0", "-0", "-3", "1.5", "nan", "inf", "", "  ", "1e3", "7.0"]
+    },
+    "short row": _trials_text((1, 4, None)),
+    "long row": _trials_text((1, 0, ["9"])),
+    "no trials column, long row": OBS_HEADER + "\nI1,1,1,1,1,1,1,1,1,0.5,40\n",
+    "bad row after good ones": _trials_text((3, 5, "x")),
+    "two bad rows": _trials_text((3, 0, "0"), (2, 8, "2")),
+    "two faults in one row": _trials_text((2, 8, "2"), (2, 3, "y")),
+    "short row before a bad cell": _trials_text((3, 1, "z"), (2, 4, None)),
+    "zero psf before a non-numeric one": _trials_text((1, 0, "0"), (1, 7, "q")),
+    "bad trials before a zero psf": _trials_text((1, 9, "2.5"), (1, 1, "0")),
+    "duplicate ids": OBS_HEADER + "\nB,1,1,1,1,1,1,1,1,0.5\nA,1,1,1,1,1,1,1,1,0.5\n"
+    + "B,1,1,1,1,1,1,1,1,0.5\nA,1,1,1,1,1,1,1,1,0.5\n",
+    "duplicate ids and a bad row": OBS_HEADER + "\nI1,1,1,1,1,1,1,1,1,0.5\n"
+    + "I1,1,1,1,1,1,1,1,1,0.5\nI2,1,1,1,1,1,1,1,1,7\n",
+    "no rows": OBS_HEADER + "\n",
+}
+
+
+class TestColumnarLoaderMatchesLegacy:
+    @settings(max_examples=150, deadline=None)
+    @given(valid_observation_csv())
+    def test_valid_files(self, text):
+        expected = _outcome(legacy_load_observations, text)
+        assert expected[0] == "ok"
+        assert _outcome(_columnar_instances, text) == expected
+
+    @pytest.mark.parametrize("name", sorted(OBSERVATION_EDGE_CASES))
+    def test_edge_cases(self, name):
+        text = OBSERVATION_EDGE_CASES[name]
+        assert _outcome(_columnar_instances, text) == _outcome(
+            legacy_load_observations, text
+        )
+
+    def test_edge_cases_accepted(self):
+        accepted = {
+            name
+            for name, text in OBSERVATION_EDGE_CASES.items()
+            if _outcome(legacy_load_observations, text)[0] == "ok"
+        }
+        assert accepted == {"trials ''", "trials '  '", "trials '1e3'", "trials '7.0'", "no rows"}
+
+    def test_duplicate_in_40k_rows(self):
+        n = 40_000
+        row = ",1,2,3,1,4,1.5,2,2,0.25"
+        lines = [OBS_HEADER] + [f"T{i:06d}{row}" for i in range(n)]
+        lines[n // 2] = lines[7]
+        t0 = time.perf_counter()
+        with pytest.raises(InputError) as err:
+            load_observations("\n".join(lines) + "\n")
+        assert str(err.value) == "duplicate instance ids: T000006"
+        # one counting pass; a list.count scan per id takes tens of seconds
+        # at this size
+        assert time.perf_counter() - t0 < 5.0
+
+
+class TestObservationSetColumns:
+    def test_from_instances_round_trip(self):
+        obs = bundled_table2()
+        again = ObservationSet.from_instances(obs.instances)
+        assert again.ids == obs.ids
+        assert np.array_equal(again.psfs, obs.psfs)
+        assert np.array_equal(again.hep, obs.hep)
+        assert again.trials == obs.trials
+
+    def test_columns_are_read_only_and_slices_are_copies(self):
+        obs = bundled_table2()
+        with pytest.raises(ValueError):
+            obs.psfs[0, 0] = 2.0
+        raw = obs.matrix(PSF_ORDER)
+        assert raw.flags["C_CONTIGUOUS"] and raw.flags["WRITEABLE"]
+        raw[0, 0] = -1.0
+        y = obs.targets()
+        y[0] = -1.0
+        assert obs.psfs[0, 0] > 0 and obs.hep[0] > 0
+
+    def test_instances_built_once(self):
+        obs = bundled_table2()
+        assert obs.instances is obs.instances
+        assert list(obs) == list(obs.instances)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(hep=[0.5] * 14 + [1.5]), "[0, 1]"),
+            (dict(trials=(None,) * 14 + (0,)), ">= 1"),
+            (dict(trials=(None,) * 14), "disagree"),
+            (dict(ids=("Ins 1",) * 15), "duplicate instance ids: Ins 1"),
+        ],
+    )
+    def test_constructor_checks(self, change, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            replace(bundled_table2(), **change)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_constructor_rejects_bad_multiplier(self, bad):
+        obs = bundled_table2()
+        psfs = obs.psfs.copy()
+        psfs[3, 5] = bad
+        with pytest.raises(InputError, match="finite and > 0"):
+            replace(obs, psfs=psfs)
 
 
 class TestBundledObservations:

@@ -9,7 +9,12 @@ from conftest import count_calls, planted_observations
 from hra_forge import pipeline, rsm
 from hra_forge.ann import TrainingConfig, train_replicated
 from hra_forge.cli import main
-from hra_forge.dataset import bundled_case_study, bundled_refit_comparison, bundled_table4
+from hra_forge.dataset import (
+    ObservationSet,
+    bundled_case_study,
+    bundled_refit_comparison,
+    bundled_table4,
+)
 from hra_forge.errors import InputError, PipelineAbortedError
 from hra_forge.pipeline import (
     ITERATION_FILES,
@@ -22,6 +27,7 @@ from hra_forge.pipeline import (
     save_result,
     summary_csv_text,
 )
+from hra_forge.ioutil import fmt_full
 from hra_forge.psf import PSF_ORDER, PsfId
 
 FAST = TrainingConfig(n_replications=3, max_epochs=3000)
@@ -168,16 +174,44 @@ class TestPlantedFactors:
         assert PsfId.ExperienceTraining in result.final_retained
 
 
+class _Fixed:
+    """A stand-in predictor that returns fixed predictions."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def predict_instances(self, obs):
+        return self.values
+
+
+def legacy_comparison(observations, predictor_before, predictor_after):
+    """Reference comparison, one row at a time.
+
+    Each squared error is a numpy scalar raised to the power 2 (libm pow),
+    each MSE the mean of Python floats squared the same way. Returns
+    ``(rows, mse_before, mse_after, csv_text)`` with one tuple
+    (id, observed, predicted_before, predicted_after, se_before, se_after)
+    per row.
+    """
+    before = predictor_before.predict_instances(observations)
+    after = predictor_after.predict_instances(observations)
+    y = observations.targets()
+    rows = [
+        (inst.id, float(obs), float(pb), float(pa),
+         float((pb - obs) ** 2), float((pa - obs) ** 2))
+        for inst, obs, pb, pa in zip(observations, y, before, after)
+    ]
+    mse_before = float(np.mean([(r[2] - r[1]) ** 2 for r in rows]))
+    mse_after = float(np.mean([(r[3] - r[1]) ** 2 for r in rows]))
+    lines = ["id,observed_hep,predicted_before,predicted_after,se_before,se_after,delta"]
+    for r in rows:
+        lines.append(",".join([r[0]] + [fmt_full(v) for v in r[1:]] + [fmt_full(r[5] - r[4])]))
+    return rows, mse_before, mse_after, "\n".join(lines) + "\n"
+
+
 class TestComparison:
     def test_reference_columns(self):
         observed, before, after = bundled_refit_comparison()
-
-        class _Fixed:
-            def __init__(self, values):
-                self.values = np.asarray(values, dtype=float)
-
-            def predict_instances(self, obs):
-                return self.values
 
         report = compare_before_after(
             bundled_case_study(), _Fixed(before), _Fixed(after)
@@ -198,18 +232,38 @@ class TestComparison:
     def test_csv_shape(self):
         observed, before, after = bundled_refit_comparison()
 
-        class _Fixed:
-            def __init__(self, values):
-                self.values = np.asarray(values, dtype=float)
-
-            def predict_instances(self, obs):
-                return self.values
-
         report = compare_before_after(bundled_case_study(), _Fixed(before), _Fixed(after))
         text = comparison_csv_text(report)
         lines = text.splitlines()
         assert lines[0].startswith("id,observed_hep,predicted_before")
         assert len(lines) == 16
+
+    def test_matches_legacy_where_pow_and_multiply_round_apart(self):
+        rng = np.random.default_rng(6)
+        n = 5000
+        obs = ObservationSet(
+            tuple(f"T{i:04d}" for i in range(n)),
+            rng.uniform(0.5, 5.0, (n, 8)),
+            rng.uniform(0.01, 0.3, n),
+            (None,) * n,
+        )
+        before = _Fixed(rng.uniform(0.01, 0.5, n))
+        after = _Fixed(rng.uniform(0.01, 0.5, n))
+        # the set must hold rows where pow(d, 2) and d * d differ in the
+        # last ulp, or it could not tell the two squarings apart
+        for predictor in (before, after):
+            diffs = (predictor.values - obs.hep).tolist()
+            assert any(d ** 2 != d * d for d in diffs)
+        rows, mse_before, mse_after, text = legacy_comparison(obs, before, after)
+        report = compare_before_after(obs, before, after)
+        assert comparison_csv_text(report) == text
+        assert report.mse_before.hex() == mse_before.hex()
+        assert report.mse_after.hex() == mse_after.hex()
+        got = [
+            (r.id, r.observed, r.predicted_before, r.predicted_after, r.se_before, r.se_after)
+            for r in report.rows
+        ]
+        assert got == rows
 
 
 class TestSavedTree:

@@ -244,7 +244,7 @@ class TestConfigRoundtrip:
 
 def observation_set(rows) -> ObservationSet:
     """Instances with the given raw multiplier rows (all eight PSFs) and HEP 0.1."""
-    return ObservationSet(
+    return ObservationSet.from_instances(
         tuple(
             Instance(f"i{k}", PsfVector.from_sequence(row), Probability(0.1))
             for k, row in enumerate(rows)
@@ -287,7 +287,7 @@ class TestNormalize:
 
     def test_empty_rejected(self):
         with pytest.raises(InputError, match="empty observation set"):
-            ObservationSet(()).normalized(PSF_ORDER)
+            ObservationSet.from_instances(()).normalized(PSF_ORDER)
 
 
 class TestPsfIdentity:

@@ -9,14 +9,15 @@ outputs. Averaging weights instead would be meaningless: hidden units can be
 permuted freely, so weight vectors from different runs do not correspond.
 
 All replicas train together: their weights are stacked along a leading
-replica axis and each epoch is one batched forward/backward pass over the
-replicas still running. There is one training loop; ``train_one`` is its
-one-seed case, and each ensemble member is bit-for-bit the network
-``train_one`` trains from the same seed.
+replica axis, and one forward pass (``_forward``) and one backward pass
+(``_gradients``) over stacked networks serve training, prediction and the
+gradient check. ``train_one`` is the one-seed case of the one training
+loop, and each ensemble member is bit-for-bit the network ``train_one``
+trains from the same seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,6 +100,8 @@ class TrainingConfig:
     hidden_nodes: Optional[int] = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.max_epochs < 1:
             raise InputError("max_epochs must be >= 1")
         if not self.learning_rate > 0:
@@ -137,6 +140,8 @@ class TrainedPredictor:
     def predict_normalized(self, X) -> np.ndarray:
         """Ensemble-mean HEP for rows of normalized inputs."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        # one member at a time: stacking all members multiplies the size of
+        # the (members, rows, hidden) temporaries by the member count
         preds = [forward_batch(m.weights, X) for m in self.members]
         return np.mean(preds, axis=0)
 
@@ -176,16 +181,48 @@ def init_weights(topology: Topology, seed: int) -> WeightSet:
     )
 
 
+def _stack(weight_sets: Sequence[WeightSet]):
+    """The networks' parameters stacked along a leading replica axis: the
+    (R, H, I), (R, H), (R, H) and (R,) arrays the passes below take."""
+    return (
+        np.stack([w.w_hidden for w in weight_sets]),
+        np.stack([w.b_hidden for w in weight_sets]),
+        np.stack([w.w_output for w in weight_sets]),
+        np.array([w.b_output for w in weight_sets]),
+    )
+
+
+def _forward(X, w1, b1, w2, b2):
+    """Hidden (R, n, H) and output (R, n) activations of R stacked networks.
+    Per replica, each ``np.matmul`` makes the BLAS call one unstacked network
+    would, so replica r's values are exactly those of network r alone."""
+    if X.shape[1] != w1.shape[2]:
+        raise InputError(
+            f"input has {X.shape[1]} components, network expects {w1.shape[2]}"
+        )
+    hidden = _sigmoid(np.matmul(X, w1.transpose(0, 2, 1)) + b1[:, None, :])
+    return hidden, _sigmoid(np.matmul(hidden, w2[:, :, None])[:, :, 0] + b2[:, None])
+
+
+def _gradients(X, hidden, out, err, w2):
+    """Backward pass: the mean-squared-error gradients of R stacked networks,
+    stacked like ``_stack``'s arrays, from ``_forward``'s activations and the
+    errors ``out - y``."""
+    # d loss / d preactivation of the output unit
+    d_out = (2.0 / X.shape[0]) * err * out * (1.0 - out)
+    d_hidden = d_out[:, :, None] * w2[:, None, :] * hidden * (1.0 - hidden)
+    return (
+        np.matmul(d_hidden.transpose(0, 2, 1), X),
+        d_hidden.sum(axis=1),
+        np.matmul(hidden.transpose(0, 2, 1), d_out[:, :, None])[:, :, 0],
+        d_out.sum(axis=1),
+    )
+
+
 def forward_batch(weights: WeightSet, X) -> np.ndarray:
     """Network output for each row of X; every value strictly inside (0, 1)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != weights.w_hidden.shape[1]:
-        raise InputError(
-            f"input has {X.shape[1]} components, network expects "
-            f"{weights.w_hidden.shape[1]}"
-        )
-    hidden = _sigmoid(X @ weights.w_hidden.T + weights.b_hidden)
-    return _sigmoid(hidden @ weights.w_output + weights.b_output)
+    return _forward(X, *_stack([weights]))[1][0]
 
 
 def forward(weights: WeightSet, x) -> float:
@@ -197,37 +234,27 @@ def loss_and_gradient(weights: WeightSet, X, y):
     """Mean-squared-error loss and its exact gradient in one backward pass.
 
     Returns (loss, gradients) where gradients mirrors the WeightSet fields.
-    Kept separate from the training loop so the analytic gradient can be
-    checked against finite differences.
+    It runs the trainer's own passes, so checking it against finite
+    differences checks the gradient that training applies.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = X.shape[0]
-    hidden = _sigmoid(X @ weights.w_hidden.T + weights.b_hidden)
-    out = _sigmoid(hidden @ weights.w_output + weights.b_output)
-    err = out - y
-    loss = float(err @ err) / n
-    # d loss / d preactivation of the output unit
-    d_out = (2.0 / n) * err * out * (1.0 - out)
-    g_w_output = hidden.T @ d_out
-    g_b_output = float(d_out.sum())
-    d_hidden = np.outer(d_out, weights.w_output) * hidden * (1.0 - hidden)
-    g_w_hidden = d_hidden.T @ X
-    g_b_hidden = d_hidden.sum(axis=0)
-    return loss, (g_w_hidden, g_b_hidden, g_w_output, g_b_output)
+    w1, b1, w2, b2 = _stack([weights])
+    hidden, out = _forward(X, w1, b1, w2, b2)
+    err = out - np.asarray(y, dtype=float)
+    g_w1, g_b1, g_w2, g_b2 = _gradients(X, hidden, out, err, w2)
+    loss = float(err[0] @ err[0]) / X.shape[0]
+    return loss, (g_w1[0], g_b1[0], g_w2[0], float(g_b2[0]))
 
 
 def _train_seeds(X, y, topology: Topology, config: TrainingConfig, seeds):
     """Train one replica per seed, all replicas as one batched program.
 
-    The replicas' weights are stacked along a leading axis: (R, H, I),
-    (R, H), (R, H) and (R,). Every epoch runs one forward/backward pass of
-    ``np.matmul`` calls over the replicas still live. Each batched call
-    does, per replica, the same BLAS call on the same operands as a single
-    network would, so every replica's arithmetic is exactly that of training
-    it alone. A replica leaves the live set when it meets the plateau rule or
-    its loss is not finite; the stacked weight arrays are compacted only on
-    epochs where some replica stops.
+    The replicas' weights are stacked by ``_stack``, and every epoch runs
+    ``_forward`` and ``_gradients`` over the replicas still live, so every
+    replica's arithmetic is exactly that of training it alone. A replica
+    leaves the live set when it meets the plateau rule or its loss is not
+    finite; the stacked arrays are compacted only on epochs where some
+    replica stops.
 
     Returns one entry per seed, in seed order: ``(weights, loss trace)`` with
     the trace as an array view, or the TrainingDivergedError of a replica
@@ -242,11 +269,7 @@ def _train_seeds(X, y, topology: Topology, config: TrainingConfig, seeds):
             f"training data has {X.shape[1]} inputs, topology expects "
             f"{topology.n_inputs}"
         )
-    inits = [init_weights(topology, seed) for seed in seeds]
-    w1 = np.stack([w.w_hidden for w in inits])
-    b1 = np.stack([w.b_hidden for w in inits])
-    w2 = np.stack([w.w_output for w in inits])
-    b2 = np.array([w.b_output for w in inits])
+    w1, b1, w2, b2 = _stack([init_weights(topology, seed) for seed in seeds])
     live = np.arange(len(seeds))  # seed index of each stacked replica
     results: list = [None] * len(seeds)
     lr = config.learning_rate
@@ -270,14 +293,12 @@ def _train_seeds(X, y, topology: Topology, config: TrainingConfig, seeds):
     # overflow here is the divergence signal, caught via the finiteness test
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs):
-            hidden = _sigmoid(np.matmul(X, w1.transpose(0, 2, 1)) + b1[:, None, :])
-            out = _sigmoid(np.matmul(hidden, w2[:, :, None])[:, :, 0] + b2[:, None])
+            hidden, out = _forward(X, w1, b1, w2, b2)
             err = out - y
             # a per-replica dot product: einsum can differ in the last ulp,
             # which could move a plateau stop
             loss = np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0] / n
             trace[live, PLATEAU_WINDOW + epoch] = loss
-            d_out = (2.0 / n) * err * out * (1.0 - out)
             going = trace[live, epoch] - loss >= tol
             if not going.all():
                 for k in np.flatnonzero(~going):
@@ -289,12 +310,12 @@ def _train_seeds(X, y, topology: Topology, config: TrainingConfig, seeds):
                     break
                 live = live[going]
                 w1, b1, w2, b2 = w1[going], b1[going], w2[going], b2[going]
-                hidden, d_out = hidden[going], d_out[going]
-            d_hidden = d_out[:, :, None] * w2[:, None, :] * hidden * (1.0 - hidden)
-            w1 -= lr * np.matmul(d_hidden.transpose(0, 2, 1), X)
-            b1 -= lr * d_hidden.sum(axis=1)
-            w2 -= lr * np.matmul(hidden.transpose(0, 2, 1), d_out[:, :, None])[:, :, 0]
-            b2 -= lr * d_out.sum(axis=1)
+                hidden, out, err = hidden[going], out[going], err[going]
+            g_w1, g_b1, g_w2, g_b2 = _gradients(X, hidden, out, err, w2)
+            w1 -= lr * g_w1
+            b1 -= lr * g_b1
+            w2 -= lr * g_w2
+            b2 -= lr * g_b2
         else:
             for k in range(live.size):
                 finish(k, config.max_epochs)

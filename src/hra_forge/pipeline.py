@@ -30,7 +30,6 @@ from .errors import InputError, NumericalError, PipelineAbortedError
 from .ioutil import atomic_write_text, fmt_full
 from .psf import PSF_ORDER, PsfId
 from .rsm import (
-    DEFAULT_AXIAL,
     AnovaTable,
     EliminationStep,
     FactorCoding,
@@ -63,19 +62,15 @@ class PipelineConfig:
     ``initial_design`` supplies evaluated rows for the first iteration (the
     bundled 60-run table in the reference workflow); its coding is inferred
     from the rows. Later iterations, and the first when no design is given,
-    generate a central composite design on the normalized scale with the
-    uniform coding (center 0.5, half range 0.3) and evaluate it through the
-    freshly trained ensemble.
+    generate a central composite design with six center runs and the default
+    axial distance, under the uniform coding (center 0.5, half range 0.3) of
+    the normalized scale, and evaluate it through the freshly trained ensemble.
     """
 
     training: TrainingConfig = TrainingConfig()
     alpha: float = 0.05
     response_power: float = 3.0
     initial_design: Optional[tuple[DesignRow, ...]] = None
-    n_center: int = 6
-    axial: float = DEFAULT_AXIAL
-    coding_center: float = 0.5
-    coding_half: float = 0.3
     max_iterations: int = 10
 
     def __post_init__(self):
@@ -171,8 +166,8 @@ def _run_iteration(
             rows = evaluate_design(rows, predictor)
         coding = infer_coding(rows)
     else:
-        coding = uniform_coding(letters, config.coding_center, config.coding_half)
-        rows = generate_ccd(active, coding, config.n_center, config.axial)
+        coding = uniform_coding(letters)
+        rows = generate_ccd(active, coding, n_center=6)
         rows = evaluate_design(rows, predictor)
 
     full = full_quadratic(letters, config.response_power)

@@ -316,11 +316,17 @@ def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> Fit
             if np.linalg.matrix_rank(np.delete(X, i, axis=1)) == rank
         ]
         raise RankDeficientError(collinear)
-    z = np.array([r.response for r in rows], dtype=float) ** spec.response_power
+    # overflow is reported here: comparisons with NaN would hide it later
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.array([r.response for r in rows], dtype=float) ** spec.response_power
+        sst = float(((z - z.mean()) ** 2).sum())
+    if not (np.isfinite(z).all() and math.isfinite(sst)):
+        raise NumericalError(
+            f"response power {spec.response_power:g} overflows the sums of squares"
+        )
     coef_vec, _, _, _ = np.linalg.lstsq(X, z, rcond=None)
     fitted = X @ coef_vec
     residuals = z - fitted
-    sst = float(((z - z.mean()) ** 2).sum())
     sse = float(residuals @ residuals)
     r2 = 1.0 - sse / sst if sst > 0 else 1.0
     coef = dict(zip(spec.terms, (float(c) for c in coef_vec)))
@@ -614,24 +620,11 @@ def predict_response(fit_result: FitResult, point: Mapping[str, float]) -> Predi
     missing = [l for l in letters if l not in point]
     if missing:
         raise InputError(f"prediction point lacks factors: {missing}")
-    extrapolated = False
-    coded = {}
-    for letter in letters:
-        c = fit_result.coding.code(letter, float(point[letter]))
-        lo, hi = fit_result.coded_ranges[letter]
-        if c < lo - 1e-9 or c > hi + 1e-9:
-            extrapolated = True
-        coded[letter] = c
-    z = 0.0
-    for term, b in fit_result.coefficients.items():
-        if term.kind == _KIND_INTERCEPT:
-            z += b
-        elif term.kind == _KIND_MAIN:
-            z += b * coded[term.letters[0]]
-        elif term.kind == _KIND_INTERACTION:
-            z += b * coded[term.letters[0]] * coded[term.letters[1]]
-        else:
-            z += b * coded[term.letters[0]] ** 2
+    coded = np.array([[fit_result.coding.code(l, float(point[l])) for l in letters]])
+    lo, hi = np.array([fit_result.coded_ranges[l] for l in letters]).T
+    extrapolated = bool(((coded < lo - 1e-9) | (coded > hi + 1e-9)).any())
+    b = np.array([fit_result.coefficients[t] for t in fit_result.spec.terms])
+    z = float(_columns(fit_result.spec, coded, letters)[0] @ b)
     clamped = False
     if z < 0.0:
         value = 0.0
@@ -648,23 +641,14 @@ def predict_response(fit_result: FitResult, point: Mapping[str, float]) -> Predi
 
 def _fraction_signs(k: int) -> np.ndarray:
     """Two-level factorial fraction of resolution >= V, first factor fastest."""
-    base = min(k, 6) if k >= 7 else (4 if k == 5 else (5 if k == 6 else k))
-    rows = []
-    for i in range(2 ** base):
-        signs = [1 if (i >> j) & 1 else -1 for j in range(base)]
-        rows.append(signs)
-    signs = np.array(rows, dtype=float)
+    base = k if k <= 4 else min(k - 1, 6)
+    # row i holds the bits of i, lowest first, as -1/+1
+    signs = np.where((np.arange(2 ** base)[:, None] >> np.arange(base)) & 1, 1.0, -1.0)
     if k <= 4:
         return signs
-    if k == 5:
-        extra = signs[:, 0] * signs[:, 1] * signs[:, 2] * signs[:, 3]
-        return np.column_stack([signs, extra])
-    if k == 6:
-        extra = signs.prod(axis=1)
-        return np.column_stack([signs, extra])
-    if k == 7:
-        extra = signs.prod(axis=1)
-        return np.column_stack([signs, extra])
+    if k <= 7:
+        # one generator, the product of all base columns: resolution k
+        return np.column_stack([signs, signs.prod(axis=1)])
     if k == 8:
         g = signs[:, 0] * signs[:, 1] * signs[:, 2] * signs[:, 3]
         h = signs[:, 0] * signs[:, 1] * signs[:, 4] * signs[:, 5]

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hra_forge.ann import (
     PLATEAU_WINDOW,
     Topology,
+    EnsembleMember,
+    TrainedPredictor,
     TrainingConfig,
     WeightSet,
     default_topology,
@@ -174,6 +176,23 @@ class TestGradient:
         pred = forward_batch(weights, X)
         assert loss == pytest.approx(float(np.mean((pred - y) ** 2)), rel=1e-14)
 
+    @pytest.mark.parametrize("n_in, n_hid, n, seed", [(1, 1, 2, 3), (3, 5, 7, 8), (8, 8, 15, 21)])
+    def test_one_training_epoch_applies_the_checked_gradient(self, n_in, n_hid, n, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0.0, 1.0, (n, n_in))
+        y = rng.uniform(0.05, 0.95, n)
+        topo = Topology(n_in, n_hid, 1)
+        config = TrainingConfig(max_epochs=1)
+        trained, trace = train_one(X, y, topo, config, seed)
+        start = init_weights(topo, seed)
+        loss, (g_w1, g_b1, g_w2, g_b2) = loss_and_gradient(start, X, y)
+        lr = config.learning_rate
+        assert trace == [loss]
+        assert np.array_equal(trained.w_hidden, start.w_hidden - lr * g_w1)
+        assert np.array_equal(trained.b_hidden, start.b_hidden - lr * g_b1)
+        assert np.array_equal(trained.w_output, start.w_output - lr * g_w2)
+        assert trained.b_output == start.b_output - lr * g_b2
+
 
 class TestInit:
     def test_deterministic(self):
@@ -319,6 +338,13 @@ class TestEnsemble:
             assert member.weights.b_output == weights.b_output
             assert member.final_loss == trace[-1]
 
+    def test_predict_rejects_wrong_input_width(self):
+        active = PSF_ORDER[:3]
+        member = EnsembleMember(1, init_weights(Topology(3, 2), 1), 0.0)
+        pred = TrainedPredictor(Topology(3, 2), (member,), active, {p: 1.0 for p in active})
+        with pytest.raises(InputError, match="input has 2 components, network expects 3"):
+            pred.predict_normalized(np.zeros((4, 2)))
+
     def test_predict_instances_uses_maxima(self):
         obs = bundled_table2()
         X, maxima = obs.normalized(PSF_ORDER)
@@ -462,6 +488,8 @@ class TestConfigParsing:
             TrainingConfig(learning_rate=-1.0)
         with pytest.raises(InputError):
             TrainingConfig(n_replications=0)
+        with pytest.raises(InputError, match="seed must be >= 0, got -4"):
+            TrainingConfig(seed=-4)
 
 
 class TestMetrics:

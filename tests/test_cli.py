@@ -90,6 +90,16 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         capsys.readouterr()
 
+    def test_negative_seed_flag_exit_2(self, capsys):
+        assert main(["train", "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_negative_seed_in_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("seed=-4\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "seed must be >= 0, got -4" in capsys.readouterr().err
+
     def test_header_only_observations_exit_2(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
         obs.write_text(
@@ -145,6 +155,13 @@ class TestAnovaCommand:
         assert main(["anova", "--design", "/nonexistent/d.csv"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("power", ["100", "200"])
+    def test_overflowing_power_exit_4(self, power, capsys):
+        assert main(["anova", "--power", power]) == 4
+        captured = capsys.readouterr()
+        assert f"response power {power} overflows" in captured.err
+        assert "nan" not in captured.out
+
 
 class TestScreenCommand:
     def test_screen_reports_eliminated(self, tmp_path, capsys):
@@ -162,6 +179,13 @@ class TestScreenCommand:
         removed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("removed ")]
         steps = int(removed[0].split()[1])
         assert calls == {"fit": steps + 1, "anova": steps + 1}
+
+    @pytest.mark.parametrize("power", ["100", "200"])
+    def test_overflowing_power_exit_4(self, power, capsys):
+        assert main(["screen", "--power", power]) == 4
+        captured = capsys.readouterr()
+        assert f"response power {power} overflows" in captured.err
+        assert "retained" not in captured.out
 
 
 class TestPipelineCommand:
@@ -192,6 +216,12 @@ class TestPipelineCommand:
         code, _ = self.run_pipeline(tmp_path, "zero", ["--max-iterations", "0"])
         capsys.readouterr()
         assert code == 2
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        code, out = self.run_pipeline(tmp_path, "negative", ["--seed", "-3"])
+        assert code == 2
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_observations_exit_2(self, tmp_path, capsys):
         code, _ = self.run_pipeline(

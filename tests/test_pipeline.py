@@ -148,6 +148,16 @@ class TestLoopControl:
         assert err.value.completed == ()
         assert "rank deficient" in str(err.value)
 
+    def test_overflowing_power_aborts(self):
+        cfg = reference_config(
+            training=TrainingConfig(n_replications=1, max_epochs=200), response_power=200.0
+        )
+        with pytest.raises(PipelineAbortedError) as err:
+            run(bundled_case_study(), cfg)
+        assert err.value.iteration == 1
+        assert err.value.completed == ()
+        assert "response power 200 overflows" in str(err.value)
+
     def test_config_validation(self):
         with pytest.raises(InputError):
             PipelineConfig(alpha=0.0)

@@ -12,7 +12,7 @@ import pytest
 
 from hra_forge import rsm
 from hra_forge.dataset import DesignRow, bundled_table4
-from hra_forge.errors import InputError, RankDeficientError
+from hra_forge.errors import InputError, NumericalError, RankDeficientError
 from hra_forge.psf import PSF_ORDER, PsfId
 from hra_forge.rsm import (
     DEFAULT_AXIAL,
@@ -101,6 +101,14 @@ class TestOlsOracle:
         result = fit(rows, spec, coding)
         y = np.array([r.response for r in rows]) ** 3.0
         assert np.allclose(result.fitted + result.residuals, y, rtol=1e-12)
+
+    @pytest.mark.parametrize("power", [100.0, 200.0])
+    def test_overflowing_power_raises(self, power):
+        # 200 overflows the transformed response, 100 only its sum of squares
+        rows = bundled_table4()
+        spec = full_quadratic(sorted(rows[0].levels), power)
+        with pytest.raises(NumericalError, match=f"response power {power:g} overflows"):
+            fit(rows, spec, infer_coding(rows))
 
 
 class TestAnova:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -94,10 +95,12 @@ def _training_config(args) -> ann.TrainingConfig:
     if getattr(args, "replications", None) is not None:
         overrides["n_replications"] = args.replications
     if overrides:
-        from dataclasses import replace
-
         config = replace(config, **overrides)
     return config
+
+
+def _power(args) -> float:
+    return pipeline.PipelineConfig.response_power if args.power is None else args.power
 
 
 def cmd_train(args) -> int:
@@ -155,15 +158,12 @@ def _load_design_arg(path):
 
 def cmd_anova(args) -> int:
     rows = _load_design_arg(args.design)
-    letters = sorted(rows[0].levels)
     if args.model:
         spec = rsm.parse_model_spec(args.model)
         if args.power is not None:
-            from dataclasses import replace
-
             spec = replace(spec, response_power=args.power)
     else:
-        spec = rsm.full_quadratic(letters, args.power if args.power is not None else 3.0)
+        spec = rsm.full_quadratic(sorted(rows[0].levels), _power(args))
     coding = rsm.infer_coding(rows)
     fit_result = rsm.fit(rows, spec, coding)
     table = rsm.anova(fit_result, rows)
@@ -179,8 +179,7 @@ def cmd_screen(args) -> int:
     rows = _load_design_arg(args.design)
     letters = sorted(rows[0].levels)
     coding = rsm.infer_coding(rows)
-    power = args.power if args.power is not None else 3.0
-    full = rsm.full_quadratic(letters, power)
+    full = rsm.full_quadratic(letters, _power(args))
     reduced, steps, _, table = rsm._eliminate(rows, full, args.alpha, coding)
     active = [PsfId.from_letter(l) for l in letters]
     report = rsm.screen_psfs(reduced, active, table.term_pvalues())
@@ -204,7 +203,7 @@ def cmd_pipeline(args) -> int:
     config = pipeline.PipelineConfig(
         training=_training_config(args),
         alpha=args.alpha,
-        response_power=args.power if args.power is not None else 3.0,
+        response_power=_power(args),
         initial_design=initial,
         max_iterations=args.max_iterations,
     )

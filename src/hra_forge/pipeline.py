@@ -32,9 +32,7 @@ from .psf import PSF_ORDER, PsfId
 from .rsm import (
     AnovaTable,
     EliminationStep,
-    FactorCoding,
     FitResult,
-    ModelSpec,
     ScreeningReport,
     _eliminate,
     anova_csv_text,
@@ -92,8 +90,6 @@ class IterationRecord:
     predicted: tuple[float, ...]
     metric_report: MetricReport
     design: tuple[DesignRow, ...]
-    coding: FactorCoding
-    reduced_spec: ModelSpec
     rsm_fit: FitResult
     anova_table: AnovaTable
     elimination_steps: tuple[EliminationStep, ...]
@@ -181,8 +177,6 @@ def _run_iteration(
         predicted=tuple(float(v) for v in predicted),
         metric_report=report,
         design=tuple(rows),
-        coding=coding,
-        reduced_spec=reduced,
         rsm_fit=reduced_fit,
         anova_table=table,
         elimination_steps=tuple(steps),
@@ -306,12 +300,12 @@ def _metrics_csv_text(record: IterationRecord, observations: ObservationSet) -> 
 
 
 def _rsm_fit_csv_text(record: IterationRecord) -> str:
-    power = record.reduced_spec.response_power
+    rsm_fit = record.rsm_fit
+    power = rsm_fit.spec.response_power
     lines = ["std,run,response,transformed,fitted,residual,predicted_response"]
-    for row, fitted, resid in zip(
-        record.design, record.rsm_fit.fitted, record.rsm_fit.residuals
+    for row, z, fitted, resid in zip(
+        record.design, rsm_fit.transformed, rsm_fit.fitted, rsm_fit.residuals
     ):
-        z = row.response ** power
         back = 0.0 if fitted < 0 else min(float(fitted) ** (1.0 / power), 100.0)
         lines.append(
             ",".join(
@@ -443,7 +437,7 @@ def save_result(result: PipelineResult, observations: ObservationSet, outdir) ->
         save_predictor(rec.predictor, os.path.join(subdir, "predictor.txt"))
         save_design(rec.design, os.path.join(subdir, "design.csv"))
         atomic_write_text(
-            os.path.join(subdir, "model.txt"), rec.reduced_spec.to_text() + "\n"
+            os.path.join(subdir, "model.txt"), rec.rsm_fit.spec.to_text() + "\n"
         )
         atomic_write_text(os.path.join(subdir, "rsm_fit.csv"), _rsm_fit_csv_text(rec))
         atomic_write_text(

@@ -88,6 +88,13 @@ def quadratic(letter: str) -> ModelTerm:
     return ModelTerm(_KIND_QUADRATIC, (letter,))
 
 
+def _parents(term: ModelTerm) -> tuple[ModelTerm, ...]:
+    """The main effects an interaction or quadratic requires; none otherwise."""
+    if term.kind in (_KIND_INTERACTION, _KIND_QUADRATIC):
+        return tuple(main_effect(letter) for letter in term.letters)
+    return ()
+
+
 def parse_term(text: str) -> ModelTerm:
     token = text.strip()
     if token == "1":
@@ -118,13 +125,12 @@ class ModelSpec:
             raise InputError("model must include the intercept term")
         present = set(terms)
         for term in terms:
-            if term.kind in (_KIND_INTERACTION, _KIND_QUADRATIC):
-                for letter in term.letters:
-                    if main_effect(letter) not in present:
-                        raise InputError(
-                            f"model is not hierarchical: {term} requires main "
-                            f"effect {letter}"
-                        )
+            for parent in _parents(term):
+                if parent not in present:
+                    raise InputError(
+                        f"model is not hierarchical: {term} requires main "
+                        f"effect {parent}"
+                    )
         if not (math.isfinite(self.response_power) and self.response_power > 0):
             raise InputError("response power must be a positive real")
         object.__setattr__(self, "terms", terms)
@@ -287,6 +293,8 @@ class FitResult:
     residuals: np.ndarray
     r2: float
     coded_ranges: dict[str, tuple[float, float]]
+    matrix: np.ndarray                            # coded columns, spec.terms order
+    transformed: np.ndarray                       # response ** power, as fitted
 
     @property
     def sse(self) -> float:
@@ -307,7 +315,11 @@ def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> Fit
     letters, levels = _design_levels(rows, spec)
     coded = _coded_matrix(levels, letters, coding)
     X = _columns(spec, coded, letters)
-    rank = np.linalg.matrix_rank(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.array([r.response for r in rows], dtype=float) ** spec.response_power
+        sst = float(((z - z.mean()) ** 2).sum())
+        # rank: X's singular values above sigma_max * max(M, N) * eps, whatever z is
+        coef_vec, _, rank, _ = np.linalg.lstsq(X, z, rcond=None)
     if rank < X.shape[1]:
         # name the columns whose removal does not lower the rank
         collinear = [
@@ -317,14 +329,10 @@ def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> Fit
         ]
         raise RankDeficientError(collinear)
     # overflow is reported here: comparisons with NaN would hide it later
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.array([r.response for r in rows], dtype=float) ** spec.response_power
-        sst = float(((z - z.mean()) ** 2).sum())
     if not (np.isfinite(z).all() and math.isfinite(sst)):
         raise NumericalError(
             f"response power {spec.response_power:g} overflows the sums of squares"
         )
-    coef_vec, _, _, _ = np.linalg.lstsq(X, z, rcond=None)
     fitted = X @ coef_vec
     residuals = z - fitted
     sse = float(residuals @ residuals)
@@ -342,6 +350,8 @@ def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> Fit
         residuals=residuals,
         r2=r2,
         coded_ranges=ranges,
+        matrix=X,
+        transformed=z,
     )
 
 
@@ -386,6 +396,16 @@ def _f_pvalue(f: float, dfn: int, dfd: int) -> float:
     return float(fdtrc(dfn, dfd, f))
 
 
+def _f_test(ss: float, df: int, ms_error: float, df_error: int):
+    """(ms, F, p) of ``ss`` on ``df`` degrees of freedom against ``ms_error``:
+    df 0 gives ms 0 and no test; ms_error 0 gives F = inf and p = 0."""
+    if df <= 0:
+        return 0.0, None, None
+    ms = ss / df
+    f = ms / ms_error if ms_error > 0 else math.inf
+    return ms, f, _f_pvalue(f, df, df_error)
+
+
 def _check_additivity(parts, total, what):
     scale = max(abs(total), 1.0)
     if abs(sum(parts) - total) > 1e-6 * scale:
@@ -397,50 +417,50 @@ def _check_additivity(parts, total, what):
 def anova(fit_result: FitResult, rows: Sequence[DesignRow]) -> AnovaTable:
     """Partial (per-term) ANOVA with a replicate-based lack-of-fit test.
 
-    Each non-intercept term gets one degree of freedom; its sum of squares is
-    the increase in residual SS when that column alone is removed. That
-    extra sum of squares equals b_i^2 / [(X'X)^-1]_ii, with b_i the fitted
+    The table reads the fit's model matrix and transformed response; ``rows``
+    only group replicates (identical level vectors) for pure error. Each
+    non-intercept term gets one degree of freedom; its sum of squares is the
+    increase in residual SS when that column alone is removed. That extra
+    sum of squares equals b_i^2 / [(X'X)^-1]_ii, with b_i the fitted
     coefficient, so one QR factorization X = QR serves every term: the
     diagonal of (X'X)^-1 = R^-1 R^-T is the row sums of R^-1 squared
     elementwise. Against refitting with the column deleted, term p-values
     agree within 1e-9 relative, and term SS and F within 1e-9 relative to
     max(F, 1): below F = 1 the refit's own difference of two SSEs carries
-    rounding of about eps * SSE. Term and model F statistics test against
-    the residual mean square; lack of fit tests against pure error pooled
-    from rows with identical level vectors. Without replicate rows the
-    lack-of-fit partition is omitted.
+    rounding of about eps * SSE. One F rule, ``_f_test``, tests the Model and
+    term rows against the residual mean square and Lack of Fit against pure
+    error. Without replicate rows the lack-of-fit partition is omitted; a
+    constant transformed response leaves no F defined and raises
+    NumericalError.
     """
     spec = fit_result.spec
-    letters, levels = _design_levels(rows, spec)
-    X = _columns(spec, _coded_matrix(levels, letters, fit_result.coding), letters)
-    z = np.array([r.response for r in rows], dtype=float) ** spec.response_power
-    n = len(rows)
+    z = fit_result.transformed
+    _, levels = _design_levels(rows, spec)
+    n = len(z)
     sse = fit_result.sse
     ss_total = float(((z - z.mean()) ** 2).sum())
     ss_model = float(((fit_result.fitted - z.mean()) ** 2).sum())
     df_model = len(spec.terms) - 1
-    df_resid = n - len(spec.terms)
-    df_total = n - 1
-    if df_resid <= 0:
-        raise InputError("no residual degrees of freedom")
-    ms_model = ss_model / df_model
+    df_resid = n - len(spec.terms)  # fit demands more runs than terms
+    if ss_total == 0.0:
+        raise NumericalError(
+            f"the response raised to power {spec.response_power:g} is constant; "
+            "the F tests are undefined"
+        )
     ms_resid = sse / df_resid
-    f_model = ms_model / ms_resid
     out = [
-        AnovaRow("Model", ss_model, df_model, ms_model, f_model,
-                 _f_pvalue(f_model, df_model, df_resid))
+        AnovaRow("Model", ss_model, df_model,
+                 *_f_test(ss_model, df_model, ms_resid, df_resid))
     ]
-    r_inv = np.linalg.inv(np.linalg.qr(X, mode="r"))
+    r_inv = np.linalg.inv(np.linalg.qr(fit_result.matrix, mode="r"))
     inv_diag = (r_inv * r_inv).sum(axis=1)
     b = np.array([fit_result.coefficients[t] for t in spec.terms])
     for term, ss in zip(spec.terms, b * b / inv_diag):
         if term.kind == _KIND_INTERCEPT:
             continue
         ss_term = max(float(ss), 0.0)
-        f_term = ss_term / ms_resid
         out.append(
-            AnovaRow(str(term), ss_term, 1, ss_term, f_term,
-                     _f_pvalue(f_term, 1, df_resid))
+            AnovaRow(str(term), ss_term, 1, *_f_test(ss_term, 1, ms_resid, df_resid))
         )
     out.append(AnovaRow("Residual", sse, df_resid, ms_resid, None, None))
 
@@ -455,14 +475,11 @@ def anova(fit_result: FitResult, rows: Sequence[DesignRow]) -> AnovaTable:
         ss_lof = max(sse - ss_pe, 0.0)
         df_lof = df_resid - df_pe
         ms_pe = ss_pe / df_pe
-        ms_lof = ss_lof / df_lof if df_lof > 0 else 0.0
-        f_lof = (ms_lof / ms_pe) if ms_pe > 0 else math.inf
-        p_lof = _f_pvalue(f_lof, df_lof, df_pe) if df_lof > 0 else None
-        out.append(AnovaRow("Lack of Fit", ss_lof, df_lof, ms_lof,
-                            f_lof if df_lof > 0 else None, p_lof))
+        out.append(AnovaRow("Lack of Fit", ss_lof, df_lof,
+                            *_f_test(ss_lof, df_lof, ms_pe, df_pe)))
         out.append(AnovaRow("Pure Error", ss_pe, df_pe, ms_pe, None, None))
         _check_additivity((ss_lof, ss_pe), sse, "lack of fit + pure error")
-    out.append(AnovaRow("Cor Total", ss_total, df_total, None, None, None))
+    out.append(AnovaRow("Cor Total", ss_total, n - 1, None, None, None))
     _check_additivity((ss_model, sse), ss_total, "model + residual")
     return AnovaTable(tuple(out))
 
@@ -489,16 +506,6 @@ class EliminationStep:
     term: ModelTerm
     p_value: float
     sse_after: float
-
-
-def _protected(spec: ModelSpec) -> set[ModelTerm]:
-    """Mains that must stay because a surviving child term involves them."""
-    keep = set()
-    for term in spec.terms:
-        if term.kind in (_KIND_INTERACTION, _KIND_QUADRATIC):
-            for letter in term.letters:
-                keep.add(main_effect(letter))
-    return keep
 
 
 def backward_eliminate(
@@ -535,7 +542,7 @@ def _eliminate(
     steps: list[EliminationStep] = []
     while True:
         table = anova(current, rows)
-        protected = _protected(spec)
+        protected = {parent for t in spec.terms for parent in _parents(t)}
         candidates = [
             (term, p)
             for term, p in table.term_pvalues().items()

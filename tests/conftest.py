@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
+from dataclasses import replace
+
 import numpy as np
 
 from hra_forge.dataset import Instance, ObservationSet
 from hra_forge.psf import Probability, PsfVector
+from hra_forge.rsm import generate_ccd, uniform_coding
 
 # raw upper bounds per PSF column, matching the bundled observation set
 RAW_MAXIMA = (10.0, 5.0, 5.0, 3.0, 50.0, 10.0, 5.0, 5.0)
@@ -48,3 +51,15 @@ def count_calls(monkeypatch, names, *modules):
         for module in modules:
             monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def noise_ccd(letters, seed):
+    """A CCD (six center runs) whose responses are 80 + N(0, 1) noise.
+
+    No factor carries signal, so backward elimination strips the full
+    quadratic down to the intercept. Returns (coding, rows).
+    """
+    coding = uniform_coding(letters)
+    rows = generate_ccd(letters, coding, 6)
+    noise = np.random.default_rng(seed).normal(0.0, 1.0, len(rows))
+    return coding, [replace(r, response=80.0 + float(e)) for r, e in zip(rows, noise)]

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import hra_forge
-from conftest import count_calls
-from hra_forge import rsm
+from conftest import count_calls, noise_ccd
+from hra_forge import dataset, rsm
 from hra_forge.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -147,6 +147,16 @@ class TestAnovaCommand:
         stdout = capsys.readouterr().out
         assert "AD" in stdout
 
+    def test_model_power_kept_without_power_flag(self, tmp_path, capsys):
+        model = ["anova", "--model", "1, A, D, AD; power=1"]
+        paths = [tmp_path / f"{i}.csv" for i in range(3)]
+        assert main([*model, "--out", str(paths[0])]) == 0
+        assert main([*model, "--power", "1", "--out", str(paths[1])]) == 0
+        assert main([*model, "--power", "3", "--out", str(paths[2])]) == 0
+        capsys.readouterr()
+        texts = [p.read_text() for p in paths]
+        assert texts[0] == texts[1] != texts[2]
+
     def test_bad_model_exit_2(self, capsys):
         assert main(["anova", "--model", "1, AD; power=3"]) == 2
         capsys.readouterr()
@@ -163,6 +173,13 @@ class TestAnovaCommand:
         assert "nan" not in captured.out
 
 
+    def test_constant_transformed_response_exit_4(self, capsys):
+        assert main(["anova", "--power", "1e-20"]) == 4
+        captured = capsys.readouterr()
+        assert "power 1e-20 is constant" in captured.err
+        assert "Model" not in captured.out
+
+
 class TestScreenCommand:
     def test_screen_reports_eliminated(self, tmp_path, capsys):
         out = tmp_path / "screen.txt"
@@ -172,6 +189,13 @@ class TestScreenCommand:
         assert "Procedures: eliminated" in text
         stdout = capsys.readouterr().out
         assert "reduced model" in stdout
+
+    def test_default_power_is_the_pipelines(self, capsys):
+        assert main(["screen"]) == 0
+        default = capsys.readouterr().out
+        assert main(["screen", "--power", "3"]) == 0
+        assert capsys.readouterr().out == default
+        assert "; power=3\n" in default
 
     def test_screen_reuses_elimination_fit_and_anova(self, monkeypatch, capsys):
         calls = count_calls(monkeypatch, ("fit", "anova"), rsm)
@@ -186,6 +210,52 @@ class TestScreenCommand:
         captured = capsys.readouterr()
         assert f"response power {power} overflows" in captured.err
         assert "retained" not in captured.out
+
+
+    def test_constant_transformed_response_exit_4(self, capsys):
+        assert main(["screen", "--power", "1e-20"]) == 4
+        captured = capsys.readouterr()
+        assert "power 1e-20 is constant" in captured.err
+        assert "retained" not in captured.out
+
+
+class TestAllInertDesign:
+    """Pure-noise designs, on which elimination removes every term."""
+
+    @pytest.fixture(scope="class")
+    def designs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("noise")
+        (root / "train.cfg").write_text(FAST_CONFIG)
+        for name, letters, seed in (("noise.csv", "ABC", 0), ("noise8.csv", "ABCDEFGH", 4)):
+            dataset.save_design(noise_ccd(list(letters), seed)[1], root / name)
+        return root
+
+    def test_screen_eliminates_every_factor(self, designs, capsys):
+        assert main(["screen", "--design", str(designs / "noise.csv"), "--power", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "reduced model: 1; power=1" in out
+        assert "retained: (none)" in out
+        assert "eliminated: AvailableTime, Stress, Complexity" in out
+
+    def test_anova_of_intercept_only_model(self, designs, tmp_path, capsys):
+        out = tmp_path / "anova.csv"
+        code = main(["anova", "--design", str(designs / "noise.csv"),
+                     "--model", "1; power=1", "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        source, _, df, ms, f, p = out.read_text().splitlines()[1].split(",")
+        assert (source, df, ms, f, p) == ("Model", "0", "0", "", "")
+
+    def test_pipeline_stops_at_min_psfs_and_reports(self, designs, tmp_path, capsys):
+        out = tmp_path / "res"
+        code = main(["pipeline", "--design", str(designs / "noise8.csv"),
+                     "--config", str(designs / "train.cfg"), "--out", str(out)])
+        assert code == 0
+        assert "1 iteration(s); stop reason: min-psfs" in capsys.readouterr().out
+        assert (out / "iterations" / "01" / "model.txt").read_text() == "1; power=3\n"
+        assert main(["report", "--result", str(out)]) == 0
+        capsys.readouterr()
+        assert len(list(out.glob("*_01.svg"))) == 4
 
 
 class TestPipelineCommand:

@@ -306,6 +306,17 @@ class TestSavedTree:
         assert len(lines) == 16
         assert lines[1].split(",")[0] == "Ins 1"
 
+    def test_rsm_fit_rows_match_the_fit(self, reference_result, tmp_path):
+        save_result(reference_result, bundled_case_study(), tmp_path)
+        for rec in reference_result.iterations:
+            text = (tmp_path / "iterations" / f"{rec.index:02d}" / "rsm_fit.csv").read_text()
+            lines = text.splitlines()[1:]
+            assert len(lines) == len(rec.design)
+            for line, z in zip(lines, rec.rsm_fit.transformed.tolist()):
+                transformed, fitted, residual = map(float, line.split(",")[3:6])
+                assert transformed == z
+                assert transformed - fitted == residual
+
     def test_shorter_rerun_removes_stale_artifacts(self, reference_result, tmp_path, capsys):
         obs = bundled_case_study()
         out = tmp_path / "res"

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import noise_ccd
 from hra_forge import rsm
 from hra_forge.dataset import DesignRow, bundled_table4
 from hra_forge.errors import InputError, NumericalError, RankDeficientError
@@ -102,6 +103,24 @@ class TestOlsOracle:
         y = np.array([r.response for r in rows]) ** 3.0
         assert np.allclose(result.fitted + result.residuals, y, rtol=1e-12)
 
+    def test_fit_carries_its_matrix_and_transformed_response(self):
+        rows = bundled_table4()
+        coding = infer_coding(rows)
+        result = fit(rows, PAPER_SPEC, coding)
+        assert np.array_equal(result.matrix, model_matrix(rows, PAPER_SPEC, coding))
+        z = np.array([r.response for r in rows]) ** 3.0
+        assert np.array_equal(result.transformed, z)
+        assert np.array_equal(result.transformed - result.fitted, result.residuals)
+
+    def test_rank_deficiency_reported_before_overflow(self):
+        rows = [
+            DesignRow(i + 1, i + 1, {"A": x, "B": x}, 90.0 + i)
+            for i, x in enumerate([0.2, 0.8, 0.2, 0.8, 0.5, 0.5, 0.4, 0.6])
+        ]
+        spec = ModelSpec((intercept(), main_effect("A"), main_effect("B")), 200.0)
+        with pytest.raises(RankDeficientError):
+            fit(rows, spec, uniform_coding(["A", "B"], 0.5, 0.3))
+
     @pytest.mark.parametrize("power", [100.0, 200.0])
     def test_overflowing_power_raises(self, power):
         # 200 overflows the transformed response, 100 only its sum of squares
@@ -192,6 +211,36 @@ class TestAnova:
         assert table["Pure Error"].ss == 0.0
         assert math.isinf(table["Lack of Fit"].f)
         assert table["Lack of Fit"].p == 0.0
+
+    def test_f_test_conventions(self):
+        assert rsm._f_test(3.0, 0, 1.5, 10) == (0.0, None, None)
+        assert rsm._f_test(3.0, 1, 0.0, 10) == (3.0, math.inf, 0.0)
+        assert rsm._f_test(6.0, 2, 1.5, 10) == (3.0, 2.0, rsm._f_pvalue(2.0, 2, 10))
+
+    def test_intercept_only_model_row_has_no_test(self):
+        coding, rows = noise_ccd(list("ABC"), 0)
+        table = anova(fit(rows, ModelSpec((intercept(),), 1.0), coding), rows)
+        model = table["Model"]
+        assert (model.df, model.ms, model.f, model.p) == (0, 0.0, None, None)
+        assert [r.source for r in table.rows] == [
+            "Model", "Residual", "Lack of Fit", "Pure Error", "Cor Total",
+        ]
+
+    def test_constant_transformed_response_raises(self):
+        # every reliability ** 1e-20 rounds to 1.0
+        rows = bundled_table4()
+        result = fit(rows, full_quadratic(sorted(rows[0].levels), 1e-20), infer_coding(rows))
+        assert np.all(result.transformed == 1.0)
+        with pytest.raises(NumericalError, match="is constant"):
+            anova(result, rows)
+
+    def test_reads_the_fits_arrays(self, monkeypatch):
+        rows = bundled_table4()
+        result = fit(rows, PAPER_SPEC, infer_coding(rows))
+        want = anova(result, rows)
+        for name in ("_coded_matrix", "_columns"):
+            monkeypatch.setattr(rsm, name, None)
+        assert anova(result, rows) == want
 
     def test_csv_roundtrip_precision(self):
         rows = bundled_table4()
@@ -399,14 +448,21 @@ class TestTermsAndSpecs:
             ModelSpec((main_effect("A"),), 1.0)
 
     def test_spec_enforces_hierarchy(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="AD requires main effect A$"):
             ModelSpec((intercept(), interaction("A", "D")), 1.0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="AD requires main effect A$"):
+            ModelSpec((intercept(), main_effect("D"), interaction("A", "D")), 1.0)
+        with pytest.raises(InputError, match=r"C\^2 requires main effect C$"):
             ModelSpec((intercept(), quadratic("C")), 1.0)
         ModelSpec(
             (intercept(), main_effect("A"), main_effect("D"), interaction("A", "D")),
             1.0,
         )
+
+    def test_parents(self):
+        assert rsm._parents(interaction("D", "A")) == (main_effect("A"), main_effect("D"))
+        assert rsm._parents(quadratic("C")) == (main_effect("C"),)
+        assert rsm._parents(main_effect("C")) == rsm._parents(intercept()) == ()
 
     def test_spec_orders_canonically(self):
         spec = ModelSpec(
@@ -613,6 +669,13 @@ class TestBackwardElimination:
         for step in steps:
             spec = spec.without(step.term)
             assert step.sse_after == real_fit(rows, spec, coding).sse
+
+    def test_all_inert_design_reduces_to_intercept(self):
+        coding, rows = noise_ccd(list("ABC"), 0)
+        full = full_quadratic(list("ABC"), 1.0)
+        reduced, steps = backward_eliminate(rows, full, 0.05, coding)
+        assert reduced == ModelSpec((intercept(),), 1.0)
+        assert len(steps) == len(full.terms) - 1
 
     def test_alpha_validation(self):
         letters, coding, rows = self.make_single_effect_rows()

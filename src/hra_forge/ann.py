@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, TrainingDivergedError
-from .ioutil import atomic_write_text, fmt_full
+from .ioutil import atomic_write_text, fmt_full, load
 from .psf import PsfId
 
 #: Epoch window for the plateau stopping rule: training stops when the loss
@@ -417,17 +417,13 @@ def save_predictor(pred: TrainedPredictor, path) -> None:
 
 def load_predictor(path) -> TrainedPredictor:
     """Load a predictor written by :func:`save_predictor`."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [l.rstrip("\n") for l in handle]
-    except OSError as exc:
-        raise InputError(f"cannot read predictor {path}: {exc}") from exc
+    return load(path, _parse_predictor)
+
+
+def _parse_predictor(text: str) -> TrainedPredictor:
+    lines = text.splitlines()
     if not lines or lines[0] != _PREDICTOR_MAGIC:
-        raise InputError(f"{path}: not a recognized predictor file")
-
-    def fail(why):
-        raise InputError(f"{path}: malformed predictor file: {why}")
-
+        raise InputError("not a recognized predictor file")
     try:
         _, n_in, n_hid, n_out = lines[1].split()
         topology = Topology(int(n_in), int(n_hid), int(n_out))
@@ -460,7 +456,7 @@ def load_predictor(path) -> TrainedPredictor:
                 )
             )
     except (IndexError, ValueError) as exc:
-        fail(exc)
+        raise InputError(f"malformed predictor file: {exc}") from exc
     return TrainedPredictor(topology, tuple(members), active, maxima)
 
 
@@ -506,8 +502,4 @@ def parse_training_config(text: str) -> TrainingConfig:
 
 
 def load_training_config(path) -> TrainingConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_training_config(handle.read())
-    except OSError as exc:
-        raise InputError(f"cannot read training config {path}: {exc}") from exc
+    return load(path, parse_training_config)

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: quantify, train, design, anova, screen, pipeline, report.
-Exit codes: 0 success, 2 input error, 3 pipeline stopped at the iteration
-cap, 4 numerical failure. Output files are written atomically and contain
-no timestamps, so identical inputs give byte-identical outputs.
+Exit codes: 0 success, 2 input error (a file that cannot be read or
+written included), 3 pipeline stopped at the iteration cap, 4 numerical
+failure. Output files are written atomically and contain no timestamps, so
+identical inputs give byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from scipy.special import ndtri
 
 from . import ann, dataset, pipeline, rsm, svg
 from .errors import InputError, NumericalError, PipelineAbortedError
-from .ioutil import atomic_write_text, fmt_console, fmt_full
+from .ioutil import atomic_write_text, fmt_console, fmt_full, load
 from .psf import (
     FAILURE_CERTAIN,
     PSF_ORDER,
@@ -212,12 +213,7 @@ def cmd_pipeline(args) -> int:
     except PipelineAbortedError as exc:
         # persist whatever completed so the failure can be inspected
         if exc.completed:
-            partial = pipeline.PipelineResult(
-                iterations=exc.completed,
-                final_predictor=exc.completed[-1].predictor,
-                final_retained=exc.completed[-1].screening.retained,
-                reason="aborted",
-            )
+            partial = pipeline.PipelineResult(exc.completed, "aborted")
             pipeline.save_result(partial, obs, args.out)
             print(f"wrote partial trail to {args.out}", file=sys.stderr)
         raise
@@ -238,34 +234,33 @@ def _read_csv(path, columns) -> list[list[float]]:
 
     Errors name the file and the data row (1-based, header excluded).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = [l.rstrip("\n") for l in handle if l.strip()]
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    return load(path, lambda text: _csv_columns(text, columns))
+
+
+def _csv_columns(text: str, columns) -> list[list[float]]:
+    lines = dataset._nonblank_lines(text)
     if len(lines) < 2:
-        raise InputError(f"{path}: expected a header row and at least one data row")
+        raise InputError("expected a header row and at least one data row")
     header = lines[0].split(",")
     width = max(columns) + 1
     if len(header) < width:
         raise InputError(
-            f"{path}: header has {len(header)} columns, expected at least {width}"
+            f"header has {len(header)} columns, expected at least {width}"
         )
     values = [[] for _ in columns]
     for rowno, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) < width:
             raise InputError(
-                f"{path}: row {rowno}: expected at least {width} cells, got {len(cells)}"
+                f"row {rowno}: expected at least {width} cells, got {len(cells)}"
             )
         for out, i in zip(values, columns):
-            try:
-                out.append(float(cells[i]))
-            except ValueError:
+            value = dataset._parse_float(cells[i], rowno, header[i])
+            if not np.isfinite(value):
                 raise InputError(
-                    f"{path}: row {rowno}: column {header[i]!r} is not numeric: "
-                    f"{cells[i]!r}"
-                ) from None
+                    f"row {rowno}: column {header[i]!r} is not finite: {cells[i]!r}"
+                )
+            out.append(value)
     return values
 
 
@@ -427,6 +422,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # a file the command writes (reads fail as InputError, in ioutil)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -9,14 +9,10 @@ Two CSV shapes are understood:
   eight; reduced designs produced after factor elimination use fewer).
 
 The bundled fixtures are the 15-instance case study and the 60-run
-eight-factor screening design. Their files are checksummed at load so any
-accidental edit fails loudly rather than silently shifting results.
+eight-factor screening design; ``ioutil`` checks their digests at load.
 """
 from __future__ import annotations
 
-import hashlib
-import importlib.resources
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -26,17 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .ioutil import atomic_write_text, fmt_full
+from .ioutil import atomic_write_text, bundled_text, fmt_full, load
 from .psf import PSF_ORDER, Probability, PsfId, PsfVector
 
 _OBS_COLUMNS = tuple(["id"] + [p.column for p in PSF_ORDER] + ["hep"])
 _OBS_COLUMNS_TRIALS = _OBS_COLUMNS + ("trials",)
-
-_FIXTURE_SHA256 = {
-    "table2.csv": "b5d9a7d37c5c9a6258906a8ba81ccf92968c79288009900c640ae35920f8737c",
-    "table4.csv": "142b409cf3aab3d4bea3e49a793a8a67e1de76aca3644593ca588a0068ca737c",
-    "multipliers.csv": "46ae2593b74d3c54a0dcb3d2d98f4d67e9d0e1df753c9535fb554b2737d91b81",
-}
 
 
 @dataclass(frozen=True)
@@ -211,12 +201,6 @@ def _parse_int(cell: str, rowno: int, column: str) -> int:
     return int(value)
 
 
-def _read_csv_lines(text: str) -> list[list[str]]:
-    return [
-        [cell.strip() for cell in raw.split(",")] for raw in _nonblank_lines(text)
-    ]
-
-
 def _nonblank_lines(text: str) -> list[str]:
     return [raw for raw in text.splitlines() if raw.strip() != ""]
 
@@ -224,9 +208,13 @@ def _nonblank_lines(text: str) -> list[str]:
 def load_observations(source) -> ObservationSet:
     """Load an observation CSV from a path, text, or file object.
 
-    Errors name the offending row and column. Row order is preserved.
+    Errors name the file (for a path), row and column. Row order is preserved.
     """
-    lines = _nonblank_lines(_slurp(source))
+    return _slurp(source, _parse_observations)
+
+
+def _parse_observations(text: str) -> ObservationSet:
+    lines = _nonblank_lines(text)
     if not lines:
         raise InputError("observations file is empty (expected a header row)")
     header = tuple(cell.strip() for cell in lines[0].split(","))
@@ -257,7 +245,10 @@ def _parse_observation_columns(body: list[str], width: int) -> ObservationSet:
     if any(raw.count(",") != width - 1 for raw in body):
         raise ValueError("rows differ in length")
     cells = ",".join(body).split(",") if body else []
-    numbers = np.array([list(map(float, cells[j::width])) for j in range(1, 10)])
+    # one column's floats at a time bounds the peak memory of a large file
+    numbers = np.empty((9, len(body)))
+    for j in range(9):
+        numbers[j] = list(map(float, cells[j + 1::width]))
     trials = (None,) * len(body)
     if width > 10:
         trials = tuple(
@@ -306,8 +297,13 @@ def save_observations(obs: ObservationSet, sink) -> None:
 
 def load_design(source) -> list[DesignRow]:
     """Load a design CSV. Factor columns are letters A..H (any subset, in order)."""
-    text = _slurp(source)
-    lines = _read_csv_lines(text)
+    return _slurp(source, _parse_design)
+
+
+def _parse_design(text: str) -> list[DesignRow]:
+    lines = [
+        [cell.strip() for cell in raw.split(",")] for raw in _nonblank_lines(text)
+    ]
     if not lines:
         raise InputError("design file is empty (expected a header row)")
     header = lines[0]
@@ -340,6 +336,8 @@ def load_design(source) -> list[DesignRow]:
         resp_cell = cells[-1]
         response = None if resp_cell == "" else _parse_float(resp_cell, rowno, "reliability")
         rows.append(DesignRow(std, run, levels, response))
+    if not rows:
+        raise InputError("design has no runs")
     _validate_design(rows)
     return rows
 
@@ -359,23 +357,17 @@ def save_design(rows: Sequence[DesignRow], sink) -> None:
     _emit(sink, "\n".join(lines) + "\n")
 
 
-def _slurp(source) -> str:
-    """The text of a file object, of CSV text, or of the file at a path.
+def _slurp(source, parse):
+    """``parse`` of the text of a file object, of CSV text, or of a path's file.
 
     A string is CSV text only when it holds a newline, so a path may contain
-    commas.
+    commas. A path is read through ``ioutil.load``, so its errors name it.
     """
     if hasattr(source, "read"):
         data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
+        return parse(data.decode("utf-8") if isinstance(data, bytes) else data)
     text = str(source)
-    if "\n" in text:
-        return text
-    try:
-        with open(text, "r", encoding="utf-8") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {text}: {exc}") from exc
+    return parse(text) if "\n" in text else load(text, parse)
 
 
 def _emit(sink, text: str) -> None:
@@ -385,18 +377,6 @@ def _emit(sink, text: str) -> None:
         atomic_write_text(sink, text)
 
 
-def _bundled_text(name: str) -> str:
-    resource = importlib.resources.files("hra_forge").joinpath(f"data/{name}")
-    raw = resource.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    if digest != _FIXTURE_SHA256[name]:
-        raise InputError(
-            f"bundled fixture {name} fails its checksum (got {digest}); "
-            f"the installation is corrupt"
-        )
-    return raw.decode("utf-8")
-
-
 def bundled_table2() -> ObservationSet:
     """The 15-instance case study, values exactly as published.
 
@@ -404,7 +384,7 @@ def bundled_table2() -> ObservationSet:
     squared-error bookkeeping of the reference fit; see
     :func:`bundled_case_study` for the reconciled values used for training.
     """
-    return load_observations(io.StringIO(_bundled_text("table2.csv")))
+    return load_observations(bundled_text("table2.csv"))
 
 
 # Observed HEP per instance, reconciled with the reference fit's squared
@@ -453,4 +433,4 @@ def bundled_refit_comparison():
 
 def bundled_table4() -> list[DesignRow]:
     """The 60-run eight-factor screening design with evaluated responses."""
-    return load_design(io.StringIO(_bundled_text("table4.csv")))
+    return load_design(bundled_text("table4.csv"))

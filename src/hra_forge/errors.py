@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the library and the CLI.
 
-The CLI maps these onto its exit-code contract: InputError -> 2,
-NumericalError -> 4. Anything else is a programming error and escapes.
+The CLI maps InputError and OSError (an output it cannot write) to exit 2
+and NumericalError to 4. Anything else is a programming error and escapes.
 """
 
 

@@ -79,6 +79,8 @@ class PipelineConfig:
         if not self.response_power > 0:
             raise InputError("response power must be positive")
         if self.initial_design is not None:
+            if not self.initial_design:
+                raise InputError("initial design has no runs")
             object.__setattr__(self, "initial_design", tuple(self.initial_design))
 
 
@@ -99,9 +101,15 @@ class IterationRecord:
 @dataclass(frozen=True)
 class PipelineResult:
     iterations: tuple[IterationRecord, ...]
-    final_predictor: TrainedPredictor
-    final_retained: tuple[PsfId, ...]
     reason: str
+
+    @property
+    def final_predictor(self) -> TrainedPredictor:
+        return self.iterations[-1].predictor
+
+    @property
+    def final_retained(self) -> tuple[PsfId, ...]:
+        return self.iterations[-1].screening.retained
 
 
 def run(observations: ObservationSet, config: PipelineConfig) -> PipelineResult:
@@ -129,12 +137,7 @@ def run(observations: ObservationSet, config: PipelineConfig) -> PipelineResult:
         if iteration >= config.max_iterations:
             reason = REASON_MAX_ITERATIONS
             break
-    return PipelineResult(
-        iterations=tuple(records),
-        final_predictor=records[-1].predictor,
-        final_retained=records[-1].screening.retained,
-        reason=reason,
-    )
+    return PipelineResult(tuple(records), reason)
 
 
 def _run_iteration(

@@ -14,12 +14,12 @@ table covers available time, the rest are user-supplied configuration.
 from __future__ import annotations
 
 import enum
-import importlib.resources
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InputError, UnknownLevelError
+from .ioutil import bundled_text, load
 
 
 class PsfId(enum.Enum):
@@ -290,11 +290,7 @@ def parse_multiplier_config(text: str) -> dict[PsfId, MultiplierTable]:
 
 def load_multiplier_config(path) -> dict[PsfId, MultiplierTable]:
     """Load multiplier tables from a file path."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_multiplier_config(handle.read())
-    except OSError as exc:
-        raise InputError(f"cannot read multiplier config {path}: {exc}") from exc
+    return load(path, parse_multiplier_config)
 
 
 def format_multiplier_config(tables: Mapping[PsfId, MultiplierTable]) -> str:
@@ -318,12 +314,7 @@ def bundled_multiplier_tables() -> dict[PsfId, MultiplierTable]:
     nominal (multiplier 1). The "Insufficient information" level is an alias
     for nominal and is stored resolved to 1.
     """
-    text = (
-        importlib.resources.files("hra_forge")
-        .joinpath("data/multipliers.csv")
-        .read_text(encoding="utf-8")
-    )
-    return parse_multiplier_config(text)
+    return parse_multiplier_config(bundled_text("multipliers.csv"))
 
 
 def resolve_levels(

@@ -9,8 +9,9 @@ import pytest
 
 import hra_forge
 from conftest import count_calls, noise_ccd
-from hra_forge import dataset, rsm
+from hra_forge import dataset, pipeline, rsm
 from hra_forge.cli import main
+from hra_forge.errors import NumericalError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -282,6 +283,21 @@ class TestPipelineCommand:
         summary = (out / "summary.csv").read_text()
         assert summary.strip().endswith("max-iterations")
 
+    def test_abort_writes_completed_iterations(self, tmp_path, capsys, monkeypatch):
+        real = pipeline._run_iteration
+
+        def fail_second(observations, config, active, iteration):
+            if iteration == 2:
+                raise NumericalError("planted failure")
+            return real(observations, config, active, iteration)
+
+        monkeypatch.setattr(pipeline, "_run_iteration", fail_second)
+        code, out = self.run_pipeline(tmp_path, "aborted")
+        assert code == 4
+        assert "planted failure" in capsys.readouterr().err
+        assert sorted(os.listdir(out / "iterations")) == ["01"]
+        assert (out / "summary.csv").read_text().strip().endswith(",aborted")
+
     def test_max_iterations_zero_exit_2(self, tmp_path, capsys):
         code, _ = self.run_pipeline(tmp_path, "zero", ["--max-iterations", "0"])
         capsys.readouterr()
@@ -400,11 +416,14 @@ class TestReportShortCsv:
             ("rsm_fit.csv", RSM_FIT_HEADER, "rsm_fit.csv"),
             ("rsm_fit.csv", RSM_FIT_HEADER + "1,1,50\n", "row 1"),
             ("rsm_fit.csv", "std,run\n1,1\n", "header"),
+            ("metrics.csv", METRICS_HEADER + "I1,nan,0.12,0.0004\n", "row 1: column"),
+            ("rsm_fit.csv", RSM_FIT_HEADER + "1,1,50,1,1,inf,49.9\n", "not finite: 'inf'"),
         ],
         ids=[
             "metrics-empty", "metrics-header-only", "metrics-short-row",
             "metrics-non-numeric", "rsm_fit-empty", "rsm_fit-header-only",
-            "rsm_fit-short-row", "rsm_fit-short-header",
+            "rsm_fit-short-row", "rsm_fit-short-header", "metrics-nan",
+            "rsm_fit-inf",
         ],
     )
     def test_short_csv_exit_2(self, result_dir, capsys, name, text, where):
@@ -434,6 +453,59 @@ def run_console_script(*args):
     return subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
     )
+
+
+HEADER_ONLY_DESIGN = "std,run,A,B,C,D,E,F,G,H,reliability\n"
+
+
+class TestHeaderOnlyDesign:
+    @pytest.mark.parametrize("command", ["anova", "screen", "pipeline"])
+    def test_exit_2_naming_the_file(self, tmp_path, capsys, command):
+        design = tmp_path / "hdr.csv"
+        design.write_text(HEADER_ONLY_DESIGN)
+        argv = [command, "--design", str(design)]
+        if command == "pipeline":
+            argv += ["--out", str(tmp_path / "res")]
+        assert main(argv) == 2
+        assert f"{design}: design has no runs" in capsys.readouterr().err
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("id,stress\ncafé,1\n".encode("latin-1"))
+    return str(path)
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--observations", "{bad}"],
+            ["train", "--config", "{bad}"],
+            ["anova", "--design", "{bad}"],
+            ["screen", "--design", "{bad}"],
+            ["quantify", "--table", "{bad}", "--tally", "1/10"],
+            ["pipeline", "--design", "{bad}", "--out", "{tmp}/res"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[1]}",
+    )
+    def test_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys, argv):
+        bad = _not_utf8(tmp_path)
+        argv = [a.format(bad=bad, tmp=tmp_path) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("name", ["metrics.csv", "rsm_fit.csv"])
+    def test_report_of_not_utf8_csv_exits_2(self, tmp_path, capsys, name):
+        sub = tmp_path / "res" / "iterations" / "01"
+        sub.mkdir(parents=True)
+        (tmp_path / "res" / "summary.csv").write_text("iteration\n1\n")
+        (sub / "metrics.csv").write_text(METRICS_HEADER + "I1,0.1,0.12,0.0004\n")
+        (sub / "rsm_fit.csv").write_text(RSM_FIT_HEADER + "1,1,50,125000,124000,1000,49.9\n")
+        (sub / name).write_bytes((sub / name).read_bytes() + "é\n".encode("latin-1"))
+        assert main(["report", "--result", str(tmp_path / "res")]) == 2
+        assert f"cannot read {sub / name}" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -1,0 +1,190 @@
+"""The file boundary: every loader names the file it could not read or parse."""
+import ast
+import builtins
+import io
+import os
+from pathlib import Path
+
+import pytest
+
+import hra_forge
+from hra_forge import ann, cli, dataset, ioutil, psf
+from hra_forge.errors import InputError, UnknownLevelError
+from hra_forge.ioutil import atomic_write_text, load
+
+SRC = Path(hra_forge.__file__).resolve().parent
+
+LOADERS = {
+    "observations": dataset.load_observations,
+    "design": dataset.load_design,
+    "training-config": ann.load_training_config,
+    "multiplier-config": psf.load_multiplier_config,
+    "predictor": ann.load_predictor,
+    "report-csv": lambda path: cli._read_csv(path, (1, 2)),
+}
+
+
+def _missing(tmp_path):
+    return tmp_path / "missing.csv"
+
+
+def _directory(tmp_path):
+    (tmp_path / "adir").mkdir()
+    return tmp_path / "adir"
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("id,stress\ncafé,1\n".encode("latin-1"))
+    return path
+
+
+class TestUnreadableFile:
+    @pytest.mark.parametrize("loader", LOADERS.values(), ids=LOADERS.keys())
+    @pytest.mark.parametrize("make", [_missing, _directory, _not_utf8],
+                             ids=["missing", "directory", "not-utf8"])
+    def test_input_error_names_the_path(self, tmp_path, loader, make):
+        path = make(tmp_path)
+        with pytest.raises(InputError, match="cannot read") as info:
+            loader(str(path))
+        assert str(path) in str(info.value)
+
+
+BAD_DESIGN = "std,run,A,B,reliability\n1,1,x,0.5,0.9\n"
+
+
+class TestContentErrorPrefix:
+    def test_path_gains_prefix(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(BAD_DESIGN)
+        with pytest.raises(InputError) as info:
+            dataset.load_design(str(path))
+        assert str(info.value) == f"{path}: row 1: column 'A' is not numeric: 'x'"
+
+    @pytest.mark.parametrize("wrap", [str, io.StringIO], ids=["text", "file-object"])
+    def test_text_and_file_object_have_none(self, wrap):
+        with pytest.raises(InputError) as info:
+            dataset.load_design(wrap(BAD_DESIGN))
+        assert str(info.value) == "row 1: column 'A' is not numeric: 'x'"
+
+    def test_training_config(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("epochs=x\n")
+        with pytest.raises(InputError) as info:
+            ann.load_training_config(str(path))
+        assert str(info.value) == f"{path}: training config line 1: cannot parse 'x'"
+        with pytest.raises(InputError) as info:
+            ann.parse_training_config("epochs=x\n")
+        assert str(info.value) == "training config line 1: cannot parse 'x'"
+
+    def test_predictor_keeps_its_wording(self, tmp_path):
+        path = tmp_path / "net.txt"
+        path.write_text("not a predictor\n")
+        with pytest.raises(InputError) as info:
+            ann.load_predictor(str(path))
+        assert str(info.value) == f"{path}: not a recognized predictor file"
+        path.write_text("hra-forge predictor v1\ntopology 1\n")
+        with pytest.raises(InputError, match=r"^.*net\.txt: malformed predictor file: "):
+            ann.load_predictor(str(path))
+
+    def test_error_keeps_its_type(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("A,Nominal,1,1\n")
+
+        def parse(text):
+            raise UnknownLevelError("AvailableTime", "Nope")
+
+        with pytest.raises(UnknownLevelError) as info:
+            load(path, parse)
+        assert info.value.label == "Nope"
+        assert str(info.value).startswith(f"{path}: unknown level 'Nope'")
+
+    def test_parse_sees_the_decoded_text(self, tmp_path):
+        path = tmp_path / "crlf.cfg"
+        path.write_bytes(b"epochs=7\r\n")
+        assert load(path, str) == "epochs=7\n"
+
+
+class TestBundledFixtures:
+    def test_every_fixture_is_checked(self):
+        assert set(ioutil._FIXTURE_SHA256) == {"table2.csv", "table4.csv", "multipliers.csv"}
+        assert dataset.bundled_table2() and dataset.bundled_table4()
+        assert psf.bundled_multiplier_tables()
+
+    def test_corrupt_multipliers_digest_is_input_error(self, monkeypatch):
+        monkeypatch.setitem(ioutil._FIXTURE_SHA256, "multipliers.csv", "0" * 64)
+        with pytest.raises(InputError, match="multipliers.csv fails its checksum"):
+            psf.bundled_multiplier_tables()
+
+
+class TestAtomicWriteFailure:
+    def test_missing_directory_names_the_target(self, tmp_path):
+        target = tmp_path / "nodir" / "out.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            atomic_write_text(target, "x\n")
+        assert info.value.filename == str(target)
+        assert str(target) in str(info.value)
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "adir"
+        target.mkdir()
+        with pytest.raises(OSError) as info:
+            atomic_write_text(target, "x\n")
+        assert str(target) in str(info.value)
+        assert sorted(os.listdir(tmp_path)) == ["adir"]
+        assert os.listdir(target) == []
+
+
+def _src_trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _is_open_call(node):
+    func = node.func
+    return (isinstance(func, ast.Name) and func.id == "open") or (
+        isinstance(func, ast.Attribute) and func.attr == "open"
+    )
+
+
+# OSError and its aliases and subclasses, and the Unicode errors
+_IO_ERRORS = {
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, (OSError, UnicodeError))
+}
+
+
+def _names(expr):
+    if expr is None:
+        return set()
+    nodes = expr.elts if isinstance(expr, ast.Tuple) else [expr]
+    return {n.id if isinstance(n, ast.Name) else ast.unparse(n) for n in nodes}
+
+
+class TestBoundaryStaysInOnePlace:
+    def test_open_is_called_only_in_ioutil(self):
+        callers = {
+            name
+            for name, tree in _src_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _is_open_call(node)
+        }
+        assert callers == {"ioutil.py"}
+
+    def test_io_errors_are_caught_only_in_ioutil_and_cli_main(self):
+        found = set()
+        for name, tree in _src_trees():
+            for scope in ast.walk(tree):
+                if not isinstance(scope, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+                    continue
+                # handlers directly in this scope, not in nested functions
+                stack = list(ast.iter_child_nodes(scope))
+                while stack:
+                    node = stack.pop()
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.Lambda)):
+                        continue
+                    if isinstance(node, ast.ExceptHandler) and _names(node.type) & _IO_ERRORS:
+                        found.add((name, getattr(scope, "name", "<module>")))
+                    stack.extend(ast.iter_child_nodes(node))
+        assert {f for f, _ in found} == {"ioutil.py", "cli.py"}
+        assert {s for f, s in found if f == "cli.py"} == {"main"}

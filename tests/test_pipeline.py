@@ -166,6 +166,10 @@ class TestLoopControl:
         with pytest.raises(InputError):
             PipelineConfig(response_power=-1.0)
 
+    def test_empty_initial_design_rejected(self):
+        with pytest.raises(InputError, match="initial design has no runs"):
+            PipelineConfig(initial_design=())
+
 
 class TestPlantedFactors:
     def test_inert_psfs_eliminated_within_eight_iterations(self):

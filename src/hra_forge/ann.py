@@ -136,6 +136,8 @@ class TrainedPredictor:
             raise InputError("ensemble must have at least one member")
         if len(self.active_psfs) != self.topology.n_inputs:
             raise InputError("active PSF count must equal the input count")
+        if self.maxima.keys() != set(self.active_psfs):
+            raise InputError("maxima must hold one value per active PSF")
 
     def predict_normalized(self, X) -> np.ndarray:
         """Ensemble-mean HEP for rows of normalized inputs."""
@@ -430,7 +432,7 @@ def _parse_predictor(text: str) -> TrainedPredictor:
         letters = lines[2].removeprefix("active ").split(",")
         active = tuple(PsfId.from_letter(l) for l in letters)
         max_vals = [float(v) for v in lines[3].removeprefix("maxima ").split()]
-        maxima = dict(zip(active, max_vals))
+        maxima = dict(zip(active, max_vals, strict=True))
         count = int(lines[4].removeprefix("ensemble "))
         members = []
         pos = 5

@@ -9,6 +9,7 @@ identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -18,7 +19,8 @@ from scipy.special import ndtri
 
 from . import ann, dataset, pipeline, rsm, svg
 from .errors import InputError, NumericalError, PipelineAbortedError
-from .ioutil import atomic_write_text, fmt_console, fmt_full, load
+from .ioutil import atomic_write_text, csv_rows, fmt_console, fmt_full, load, naming
+from .ioutil import parse_float
 from .psf import (
     FAILURE_CERTAIN,
     PSF_ORDER,
@@ -83,7 +85,10 @@ def cmd_quantify(args) -> int:
 
 
 def _load_observations_arg(path):
-    return dataset.load_observations(path) if path else dataset.bundled_case_study()
+    obs = dataset.load_observations(path) if path else dataset.bundled_case_study()
+    if not len(obs):
+        raise InputError(f"{path}: empty observation set: no rows after the header")
+    return obs
 
 
 def _training_config(args) -> ann.TrainingConfig:
@@ -154,18 +159,20 @@ def _print_anova(table: rsm.AnovaTable) -> None:
 
 
 def _load_design_arg(path):
-    return dataset.load_design(path) if path else dataset.bundled_table4()
+    """The design at path (default: bundled) and the coding it was built with."""
+    rows = dataset.load_design(path) if path else dataset.bundled_table4()
+    with naming(path):
+        return rows, rsm.infer_coding(rows)
 
 
 def cmd_anova(args) -> int:
-    rows = _load_design_arg(args.design)
+    rows, coding = _load_design_arg(args.design)
     if args.model:
         spec = rsm.parse_model_spec(args.model)
         if args.power is not None:
             spec = replace(spec, response_power=args.power)
     else:
         spec = rsm.full_quadratic(sorted(rows[0].levels), _power(args))
-    coding = rsm.infer_coding(rows)
     fit_result = rsm.fit(rows, spec, coding)
     table = rsm.anova(fit_result, rows)
     _print_anova(table)
@@ -177,9 +184,8 @@ def cmd_anova(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    rows = _load_design_arg(args.design)
+    rows, coding = _load_design_arg(args.design)
     letters = sorted(rows[0].levels)
-    coding = rsm.infer_coding(rows)
     full = rsm.full_quadratic(letters, _power(args))
     reduced, steps, _, table = rsm._eliminate(rows, full, args.alpha, coding)
     active = [PsfId.from_letter(l) for l in letters]
@@ -195,12 +201,7 @@ def cmd_screen(args) -> int:
 
 def cmd_pipeline(args) -> int:
     obs = _load_observations_arg(args.observations)
-    if args.generate:
-        initial = None
-    elif args.design:
-        initial = tuple(dataset.load_design(args.design))
-    else:
-        initial = tuple(dataset.bundled_table4())
+    initial = None if args.generate else tuple(_load_design_arg(args.design)[0])
     config = pipeline.PipelineConfig(
         training=_training_config(args),
         alpha=args.alpha,
@@ -208,6 +209,8 @@ def cmd_pipeline(args) -> int:
         initial_design=initial,
         max_iterations=args.max_iterations,
     )
+    # an --out that cannot be a directory fails before the training
+    os.makedirs(args.out, exist_ok=True)
     try:
         result = pipeline.run(obs, config)
     except PipelineAbortedError as exc:
@@ -229,38 +232,32 @@ def cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
-def _read_csv(path, columns) -> list[list[float]]:
-    """The numeric columns at the given indices of a result CSV, one list each.
-
-    Errors name the file and the data row (1-based, header excluded).
-    """
-    return load(path, lambda text: _csv_columns(text, columns))
+#: The largest magnitude ``report`` plots: spans, paddings and the residuals'
+#: summed squares stay finite for values within it, up to 4e7 rows.
+_PLOT_LIMIT = 1e150
 
 
-def _csv_columns(text: str, columns) -> list[list[float]]:
-    lines = dataset._nonblank_lines(text)
-    if len(lines) < 2:
-        raise InputError("expected a header row and at least one data row")
-    header = lines[0].split(",")
-    width = max(columns) + 1
-    if len(header) < width:
-        raise InputError(
-            f"header has {len(header)} columns, expected at least {width}"
-        )
-    values = [[] for _ in columns]
-    for rowno, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) < width:
-            raise InputError(
-                f"row {rowno}: expected at least {width} cells, got {len(cells)}"
-            )
-        for out, i in zip(values, columns):
-            value = dataset._parse_float(cells[i], rowno, header[i])
-            if not np.isfinite(value):
-                raise InputError(
-                    f"row {rowno}: column {header[i]!r} is not finite: {cells[i]!r}"
-                )
-            out.append(value)
+def _read_csv(path, names) -> list[list[float]]:
+    """The numeric columns of a result CSV with the given header names."""
+    rows = load(path, csv_rows)
+    with naming(path):
+        if len(rows) < 2:
+            raise InputError("expected a header row and at least one data row")
+        header = rows[0]
+        for name in names:
+            if name not in header:
+                raise InputError(f"header has no column {name!r}")
+        at = [header.index(name) for name in names]
+        values = [[] for _ in names]
+        for rowno, cells in enumerate(rows[1:], start=1):
+            if len(cells) != len(header):
+                raise InputError(f"row {rowno}: expected {len(header)} cells, got {len(cells)}")
+            for out, i, name in zip(values, at, names):
+                value = parse_float(cells[i], rowno, name)
+                if not abs(value) <= _PLOT_LIMIT:
+                    what = f"beyond ±{_PLOT_LIMIT:g}" if math.isfinite(value) else "not finite"
+                    raise InputError(f"row {rowno}: column {name!r} is {what}: {cells[i]!r}")
+                out.append(value)
     return values
 
 
@@ -294,9 +291,12 @@ def cmd_report(args) -> int:
     written = []
     for d in subdirs:
         sub = os.path.join(iter_root, d)
-        observed, predicted = _read_csv(os.path.join(sub, "metrics.csv"), (1, 2))
+        observed, predicted = _read_csv(
+            os.path.join(sub, "metrics.csv"), ("observed_hep", "predicted_hep")
+        )
         response, fitted, residual, back = _read_csv(
-            os.path.join(sub, "rsm_fit.csv"), (2, 4, 5, 6)
+            os.path.join(sub, "rsm_fit.csv"),
+            ("response", "fitted", "residual", "predicted_response"),
         )
         res = np.array(residual)
         order = np.sort(res)

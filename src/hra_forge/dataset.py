@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .ioutil import atomic_write_text, bundled_text, fmt_full, load
+from .ioutil import atomic_write_text, bundled_text, csv_lines, csv_rows, csv_text, load
+from .ioutil import parse_float, parse_int
 from .psf import PSF_ORDER, Probability, PsfId, PsfVector
 
 _OBS_COLUMNS = tuple(["id"] + [p.column for p in PSF_ORDER] + ["hep"])
@@ -183,28 +184,6 @@ def _validate_design(rows: Sequence[DesignRow]) -> None:
             )
 
 
-def _parse_float(cell: str, rowno: int, column: str) -> float:
-    try:
-        return float(cell)
-    except ValueError:
-        raise InputError(
-            f"row {rowno}: column {column!r} is not numeric: {cell!r}"
-        ) from None
-
-
-def _parse_int(cell: str, rowno: int, column: str) -> int:
-    value = _parse_float(cell, rowno, column)
-    if not (math.isfinite(value) and value.is_integer()):
-        raise InputError(
-            f"row {rowno}: column {column!r} is not an integer: {cell!r}"
-        )
-    return int(value)
-
-
-def _nonblank_lines(text: str) -> list[str]:
-    return [raw for raw in text.splitlines() if raw.strip() != ""]
-
-
 def load_observations(source) -> ObservationSet:
     """Load an observation CSV from a path, text, or file object.
 
@@ -214,7 +193,7 @@ def load_observations(source) -> ObservationSet:
 
 
 def _parse_observations(text: str) -> ObservationSet:
-    lines = _nonblank_lines(text)
+    lines = csv_lines(text)
     if not lines:
         raise InputError("observations file is empty (expected a header row)")
     header = tuple(cell.strip() for cell in lines[0].split(","))
@@ -231,8 +210,8 @@ def _parse_observations(text: str) -> ObservationSet:
     except (ValueError, InputError):
         # name the first bad row and column; when every row passes, the
         # fault is a duplicate id, which the set's own message names
-        for rowno, raw in enumerate(body, start=1):
-            _check_observation_row(rowno, [c.strip() for c in raw.split(",")], width)
+        for rowno, cells in enumerate(csv_rows(text)[1:], start=1):
+            _check_observation_row(rowno, cells, width)
         raise
 
 
@@ -252,7 +231,7 @@ def _parse_observation_columns(body: list[str], width: int) -> ObservationSet:
     trials = (None,) * len(body)
     if width > 10:
         trials = tuple(
-            None if cell == "" else _parse_int(cell, rowno, "trials")
+            None if cell == "" else parse_int(cell, rowno, "trials")
             for rowno, cell in enumerate(map(str.strip, cells[10::width]), start=1)
         )
     return ObservationSet(
@@ -265,15 +244,15 @@ def _check_observation_row(rowno: int, cells: list[str], width: int) -> None:
     if len(cells) != width:
         raise InputError(f"row {rowno}: expected {width} cells, got {len(cells)}")
     values = {
-        psf: _parse_float(cells[1 + i], rowno, psf.column)
+        psf: parse_float(cells[1 + i], rowno, psf.column)
         for i, psf in enumerate(PSF_ORDER)
     }
-    hep_cell = _parse_float(cells[9], rowno, "hep")
+    hep_cell = parse_float(cells[9], rowno, "hep")
     if not 0.0 <= hep_cell <= 1.0:
         raise InputError(f"row {rowno}: hep {hep_cell} outside [0, 1]")
     trials = None
     if width > 10 and cells[10] != "":
-        trials = _parse_int(cells[10], rowno, "trials")
+        trials = parse_int(cells[10], rowno, "trials")
     try:
         Instance(cells[0], PsfVector(values), Probability(hep_cell), trials)
     except InputError as exc:
@@ -284,15 +263,10 @@ def save_observations(obs: ObservationSet, sink) -> None:
     """Write an observation CSV; numeric cells carry full double precision."""
     has_trials = any(t is not None for t in obs.trials)
     header = _OBS_COLUMNS_TRIALS if has_trials else _OBS_COLUMNS
-    lines = [",".join(header)]
-    for id_, row, hep, trials in zip(
-        obs.ids, obs.psfs.tolist(), obs.hep.tolist(), obs.trials
-    ):
-        cells = [id_] + [fmt_full(v) for v in row] + [fmt_full(hep)]
-        if has_trials:
-            cells.append("" if trials is None else str(trials))
-        lines.append(",".join(cells))
-    _emit(sink, "\n".join(lines) + "\n")
+    columns = [obs.ids, *obs.psfs.T.tolist(), obs.hep.tolist()]
+    if has_trials:
+        columns.append(obs.trials)
+    _emit(sink, csv_text(header, zip(*columns)))
 
 
 def load_design(source) -> list[DesignRow]:
@@ -301,9 +275,7 @@ def load_design(source) -> list[DesignRow]:
 
 
 def _parse_design(text: str) -> list[DesignRow]:
-    lines = [
-        [cell.strip() for cell in raw.split(",")] for raw in _nonblank_lines(text)
-    ]
+    lines = csv_rows(text)
     if not lines:
         raise InputError("design file is empty (expected a header row)")
     header = lines[0]
@@ -327,14 +299,14 @@ def _parse_design(text: str) -> list[DesignRow]:
             raise InputError(
                 f"row {rowno}: expected {len(header)} cells, got {len(cells)}"
             )
-        std = _parse_int(cells[0], rowno, "std")
-        run = _parse_int(cells[1], rowno, "run")
+        std = parse_int(cells[0], rowno, "std")
+        run = parse_int(cells[1], rowno, "run")
         levels = {
-            letter: _parse_float(cells[2 + i], rowno, letter)
+            letter: parse_float(cells[2 + i], rowno, letter)
             for i, letter in enumerate(letters)
         }
         resp_cell = cells[-1]
-        response = None if resp_cell == "" else _parse_float(resp_cell, rowno, "reliability")
+        response = None if resp_cell == "" else parse_float(resp_cell, rowno, "reliability")
         rows.append(DesignRow(std, run, levels, response))
     if not rows:
         raise InputError("design has no runs")
@@ -348,13 +320,11 @@ def save_design(rows: Sequence[DesignRow], sink) -> None:
         raise InputError("refusing to write an empty design")
     _validate_design(rows)
     letters = sorted(rows[0].levels)
-    lines = [",".join(["std", "run"] + letters + ["reliability"])]
-    for r in rows:
-        cells = [str(r.std_order), str(r.run_order)]
-        cells += [fmt_full(r.levels[l]) for l in letters]
-        cells.append("" if r.response is None else fmt_full(r.response))
-        lines.append(",".join(cells))
-    _emit(sink, "\n".join(lines) + "\n")
+    cells = (
+        [r.std_order, r.run_order, *(r.levels[l] for l in letters), r.response]
+        for r in rows
+    )
+    _emit(sink, csv_text(["std", "run", *letters, "reliability"], cells))
 
 
 def _slurp(source, parse):

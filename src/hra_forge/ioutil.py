@@ -4,11 +4,15 @@ A user-named file is read through :func:`load`, so an unreadable or
 undecodable file, and any fault its parser finds, is an InputError naming
 it. Bundled fixtures are checksummed at load, so an accidental edit fails
 loudly. Output is written to a temporary name and renamed into place, so
-readers never see a half-written file. Machine-facing CSV cells carry 17
-significant digits (exact double round-trip); console output carries 4.
+readers never see a half-written file. CSV tables have one dialect, written
+by :func:`csv_text` and read by :func:`csv_rows`: no quoting, numbers at 17
+significant digits (exact double round-trip), an empty cell for a missing
+value, data rows numbered from 1 after the header. Console output carries 4.
 """
+import contextlib
 import hashlib
 import importlib.resources
+import math
 import os
 import tempfile
 
@@ -21,9 +25,13 @@ _FIXTURE_SHA256 = {
 }
 
 
+#: The %-format of a number in a CSV cell: 17 significant digits.
+FULL = "%.17g"
+
+
 def fmt_full(x) -> str:
     """Format a float at 17 significant digits (exact double round-trip)."""
-    return f"{float(x):.17g}"
+    return FULL % float(x)
 
 
 def fmt_console(x) -> str:
@@ -31,19 +39,69 @@ def fmt_console(x) -> str:
     return f"{float(x):.4g}"
 
 
+def csv_text(header, rows) -> str:
+    """CSV text of a header and rows of cells.
+
+    A ``str`` cell is written as is, ``None`` as an empty cell, an ``int``
+    in decimal and any other number through :func:`fmt_full`.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return str(value) if isinstance(value, (str, int)) else fmt_full(value)
+
+
+def csv_lines(text: str) -> list[str]:
+    """The non-blank lines of CSV text: the header, then data rows 1, 2, ..."""
+    return [raw for raw in text.splitlines() if raw.strip() != ""]
+
+
+def csv_rows(text: str) -> list[list[str]]:
+    """The stripped cells of each non-blank line: the header, then data rows 1, 2, ..."""
+    return [[cell.strip() for cell in raw.split(",")] for raw in csv_lines(text)]
+
+
+def parse_float(cell: str, rowno: int, column: str) -> float:
+    """The number in one CSV cell; an InputError names its row and column."""
+    try:
+        return float(cell)
+    except ValueError:
+        raise InputError(f"row {rowno}: column {column!r} is not numeric: {cell!r}") from None
+
+
+def parse_int(cell: str, rowno: int, column: str) -> int:
+    """The integer in one CSV cell; an InputError names its row and column."""
+    value = parse_float(cell, rowno, column)
+    if not (math.isfinite(value) and value.is_integer()):
+        raise InputError(f"row {rowno}: column {column!r} is not an integer: {cell!r}")
+    return int(value)
+
+
 def load(path, parse):
     """``parse`` of the UTF-8 text of the file at ``path``.
 
     An unreadable file is ``InputError("cannot read PATH: ...")``; an
-    InputError from ``parse`` keeps its type and gains a ``"PATH: "`` prefix.
+    InputError from ``parse`` is named as in :func:`naming`.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
+    with naming(path):
         return parse(text)
+
+
+@contextlib.contextmanager
+def naming(path):
+    """An InputError raised in the block keeps its type and gains a ``"PATH: "`` prefix."""
+    try:
+        yield
     except InputError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

@@ -27,7 +27,7 @@ from .ann import (
 from .ann import train_replicated
 from .dataset import DesignRow, ObservationSet, save_design
 from .errors import InputError, NumericalError, PipelineAbortedError
-from .ioutil import atomic_write_text, fmt_full
+from .ioutil import FULL, atomic_write_text, csv_text
 from .psf import PSF_ORDER, PsfId
 from .rsm import (
     AnovaTable,
@@ -270,11 +270,13 @@ def compare_before_after(
 
 
 def comparison_csv_text(report: ComparisonReport) -> str:
+    # one %-template per row: csv_text's per-cell dispatch takes about 1.6x
+    # as long (+0.1 s) on a 40k-row comparison
+    template = "%s," + ",".join([FULL] * 6)
     lines = ["id,observed_hep,predicted_before,predicted_after,se_before,se_after,delta"]
     delta = report.se_after - report.se_before
-    # %.17g is fmt_full's format
     lines += [
-        "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % cells
+        template % cells
         for cells in zip(
             report.ids,
             report.observed.tolist(),
@@ -290,49 +292,37 @@ def comparison_csv_text(report: ComparisonReport) -> str:
 
 # --- result directory serialization --------------------------------------------
 
+#: The header of each iteration's metrics.csv and rsm_fit.csv; ``hra-forge
+#: report`` finds the columns it plots by these names.
+METRICS_COLUMNS = ("id", "observed_hep", "predicted_hep", "squared_error")
+RSM_FIT_COLUMNS = ("std", "run", "response", "transformed", "fitted", "residual",
+                   "predicted_response")
+
+
 def _metrics_csv_text(record: IterationRecord, observations: ObservationSet) -> str:
-    lines = ["id,observed_hep,predicted_hep,squared_error"]
-    for id_, observed, pred, se in zip(
+    return csv_text(METRICS_COLUMNS, zip(
         observations.ids,
         observations.hep.tolist(),
         record.predicted,
         record.metric_report.se,
-    ):
-        lines.append(",".join([id_, fmt_full(observed), fmt_full(pred), fmt_full(se)]))
-    return "\n".join(lines) + "\n"
+    ))
 
 
 def _rsm_fit_csv_text(record: IterationRecord) -> str:
     rsm_fit = record.rsm_fit
     power = rsm_fit.spec.response_power
-    lines = ["std,run,response,transformed,fitted,residual,predicted_response"]
-    for row, z, fitted, resid in zip(
-        record.design, rsm_fit.transformed, rsm_fit.fitted, rsm_fit.residuals
-    ):
-        back = 0.0 if fitted < 0 else min(float(fitted) ** (1.0 / power), 100.0)
-        lines.append(
-            ",".join(
-                [
-                    str(row.std_order),
-                    str(row.run_order),
-                    fmt_full(row.response),
-                    fmt_full(z),
-                    fmt_full(fitted),
-                    fmt_full(resid),
-                    fmt_full(back),
-                ]
-            )
+    return csv_text(RSM_FIT_COLUMNS, (
+        [row.std_order, row.run_order, row.response, z, fitted, resid,
+         0.0 if fitted < 0 else min(float(fitted) ** (1.0 / power), 100.0)]
+        for row, z, fitted, resid in zip(
+            record.design, rsm_fit.transformed, rsm_fit.fitted, rsm_fit.residuals
         )
-    return "\n".join(lines) + "\n"
+    ))
 
 
 def _elimination_csv_text(steps: Sequence[EliminationStep]) -> str:
-    lines = ["step,term,p_value,sse_after"]
-    for i, step in enumerate(steps, start=1):
-        lines.append(
-            ",".join([str(i), str(step.term), fmt_full(step.p_value), fmt_full(step.sse_after)])
-        )
-    return "\n".join(lines) + "\n"
+    rows = ([i, str(s.term), s.p_value, s.sse_after] for i, s in enumerate(steps, start=1))
+    return csv_text(["step", "term", "p_value", "sse_after"], rows)
 
 
 def _names(psfs: Sequence[PsfId]) -> str:
@@ -340,27 +330,22 @@ def _names(psfs: Sequence[PsfId]) -> str:
 
 
 def summary_csv_text(result: PipelineResult) -> str:
-    lines = [
-        "iteration,n_active,active,eliminated,retained,ensemble_mse,r_squared,stop_reason"
-    ]
+    header = ("iteration", "n_active", "active", "eliminated", "retained",
+              "ensemble_mse", "r_squared", "stop_reason")
     last = len(result.iterations)
-    for rec in result.iterations:
-        r2 = rec.metric_report.r2
-        lines.append(
-            ",".join(
-                [
-                    str(rec.index),
-                    str(len(rec.active)),
-                    _names(rec.active),
-                    _names(rec.screening.eliminated),
-                    _names(rec.screening.retained),
-                    fmt_full(rec.metric_report.mse),
-                    "" if r2 is None else fmt_full(r2),
-                    result.reason if rec.index == last else "",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(header, (
+        [
+            rec.index,
+            len(rec.active),
+            _names(rec.active),
+            _names(rec.screening.eliminated),
+            _names(rec.screening.retained),
+            rec.metric_report.mse,
+            rec.metric_report.r2,
+            result.reason if rec.index == last else None,
+        ]
+        for rec in result.iterations
+    ))
 
 
 #: The files save_result writes into each ``iterations/NN`` directory.
@@ -428,23 +413,16 @@ def save_result(result: PipelineResult, observations: ObservationSet, outdir) ->
     for rec in result.iterations:
         subdir = os.path.join(outdir, "iterations", f"{rec.index:02d}")
         os.makedirs(subdir, exist_ok=True)
-        atomic_write_text(
-            os.path.join(subdir, "metrics.csv"), _metrics_csv_text(rec, observations)
-        )
-        atomic_write_text(
-            os.path.join(subdir, "anova.csv"), anova_csv_text(rec.anova_table)
-        )
-        atomic_write_text(
-            os.path.join(subdir, "screening.txt"), screening_text(rec.screening)
-        )
         save_predictor(rec.predictor, os.path.join(subdir, "predictor.txt"))
         save_design(rec.design, os.path.join(subdir, "design.csv"))
-        atomic_write_text(
-            os.path.join(subdir, "model.txt"), rec.rsm_fit.spec.to_text() + "\n"
-        )
-        atomic_write_text(os.path.join(subdir, "rsm_fit.csv"), _rsm_fit_csv_text(rec))
-        atomic_write_text(
-            os.path.join(subdir, "elimination.csv"),
-            _elimination_csv_text(rec.elimination_steps),
-        )
+        texts = {
+            "metrics.csv": _metrics_csv_text(rec, observations),
+            "anova.csv": anova_csv_text(rec.anova_table),
+            "screening.txt": screening_text(rec.screening),
+            "model.txt": rec.rsm_fit.spec.to_text() + "\n",
+            "rsm_fit.csv": _rsm_fit_csv_text(rec),
+            "elimination.csv": _elimination_csv_text(rec.elimination_steps),
+        }
+        for name, text in texts.items():
+            atomic_write_text(os.path.join(subdir, name), text)
     atomic_write_text(os.path.join(outdir, "summary.csv"), summary_csv_text(result))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import InputError, UnknownLevelError
-from .ioutil import bundled_text, load
+from .ioutil import bundled_text, csv_text, load
 
 
 class PsfId(enum.Enum):
@@ -294,16 +294,14 @@ def load_multiplier_config(path) -> dict[PsfId, MultiplierTable]:
 
 
 def format_multiplier_config(tables: Mapping[PsfId, MultiplierTable]) -> str:
-    lines = [_CONFIG_HEADER]
-    for psf in PSF_ORDER:
-        table = tables.get(psf)
-        if table is None:
-            continue
-        for row in table.rows:
-            act = _FAIL_TOKEN if row.action is FAILURE_CERTAIN else f"{row.action:g}"
-            dia = _FAIL_TOKEN if row.diagnosis is FAILURE_CERTAIN else f"{row.diagnosis:g}"
-            lines.append(f"{psf.letter},{row.label},{act},{dia}")
-    return "\n".join(lines) + "\n"
+    def multiplier(value) -> str:
+        return _FAIL_TOKEN if value is FAILURE_CERTAIN else f"{value:g}"
+
+    return csv_text(_CONFIG_HEADER.split(","), (
+        [psf.letter, row.label, multiplier(row.action), multiplier(row.diagnosis)]
+        for psf in PSF_ORDER if psf in tables
+        for row in tables[psf].rows
+    ))
 
 
 def bundled_multiplier_tables() -> dict[PsfId, MultiplierTable]:

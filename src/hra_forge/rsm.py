@@ -25,7 +25,7 @@ from scipy.special import fdtrc
 
 from .dataset import DesignRow
 from .errors import InputError, NumericalError, RankDeficientError
-from .ioutil import fmt_full
+from .ioutil import csv_text
 from .psf import PSF_ORDER, PsfId
 
 #: Default axial distance: places axial points at +/- 5/3 in coded units.
@@ -485,18 +485,10 @@ def anova(fit_result: FitResult, rows: Sequence[DesignRow]) -> AnovaTable:
 
 
 def anova_csv_text(table: AnovaTable) -> str:
-    lines = ["source,sum_of_squares,df,mean_square,f_value,p_value"]
-    for r in table.rows:
-        cells = [
-            r.source,
-            fmt_full(r.ss),
-            str(r.df),
-            "" if r.ms is None else fmt_full(r.ms),
-            "" if r.f is None else fmt_full(r.f),
-            "" if r.p is None else fmt_full(r.p),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ["source", "sum_of_squares", "df", "mean_square", "f_value", "p_value"],
+        ([r.source, r.ss, r.df, r.ms, r.f, r.p] for r in table.rows),
+    )
 
 
 # --- model reduction and screening ------------------------------------------

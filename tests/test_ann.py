@@ -1,5 +1,6 @@
 """Network training, the gradient oracle, and predictor serialization."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -424,6 +425,27 @@ class TestSerialization:
             assert np.array_equal(a.weights.w_output, b.weights.w_output)
             assert a.weights.b_output == b.weights.b_output
         assert np.array_equal(again.predict_normalized(X), pred.predict_normalized(X))
+
+    @pytest.mark.parametrize("values", ["1", "1 2 3"], ids=["short", "long"])
+    def test_maxima_must_match_active(self, tmp_path, values):
+        rng = np.random.default_rng(2)
+        active = PSF_ORDER[:2]
+        pred = train_replicated(
+            rng.uniform(0, 1, (5, 2)), rng.uniform(0.1, 0.9, 5),
+            TrainingConfig(max_epochs=50, n_replications=1), active,
+            {p: 1.0 for p in active},
+        )
+        with pytest.raises(InputError, match="one value per active PSF"):
+            replace(pred, maxima={PSF_ORDER[0]: 1.0})
+        with pytest.raises(InputError, match="one value per active PSF"):
+            replace(pred, maxima={PSF_ORDER[0]: 1.0, PSF_ORDER[2]: 1.0})
+        path = tmp_path / "net.txt"
+        save_predictor(pred, path)
+        lines = path.read_text().splitlines()
+        lines[3] = "maxima " + values
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=r"net\.txt: "):
+            load_predictor(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"

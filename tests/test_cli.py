@@ -309,6 +309,18 @@ class TestPipelineCommand:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_that_is_a_file_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        def must_not_run(observations, config):
+            raise AssertionError("pipeline.run called")
+
+        monkeypatch.setattr(pipeline, "run", must_not_run)
+        out = tmp_path / "file"
+        out.write_text("keep\n")
+        assert main(["pipeline", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text() == "keep\n"
+
     def test_missing_observations_exit_2(self, tmp_path, capsys):
         code, _ = self.run_pipeline(
             tmp_path, "noobs", ["--observations", "/nonexistent/obs.csv"]
@@ -398,6 +410,16 @@ class TestReportShortCsv:
         assert main(["report", "--result", str(result_dir)]) == 0
         capsys.readouterr()
 
+    def test_columns_are_found_by_name(self, result_dir, tmp_path, capsys):
+        assert main(["report", "--result", str(result_dir), "--out", str(tmp_path / "a")]) == 0
+        metrics = result_dir / "iterations" / "01" / "metrics.csv"
+        rows = [line.split(",") for line in metrics.read_text().splitlines()]
+        metrics.write_text("".join(",".join(r[::-1]) + "\n" for r in rows))
+        assert main(["report", "--result", str(result_dir), "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+        assert {"observed_hep", "predicted_hep"} <= set(pipeline.METRICS_COLUMNS)
+
     def test_stray_directory_exit_2(self, result_dir, capsys):
         stray = result_dir / "iterations" / "notes"
         shutil.copytree(result_dir / "iterations" / "01", stray)
@@ -418,12 +440,14 @@ class TestReportShortCsv:
             ("rsm_fit.csv", "std,run\n1,1\n", "header"),
             ("metrics.csv", METRICS_HEADER + "I1,nan,0.12,0.0004\n", "row 1: column"),
             ("rsm_fit.csv", RSM_FIT_HEADER + "1,1,50,1,1,inf,49.9\n", "not finite: 'inf'"),
+            ("metrics.csv", METRICS_HEADER + "I1,1e308,0.12,0.0004\nI2,-1e308,0.18,0.0004\n",
+             "row 1: column 'observed_hep' is beyond ±1e+150: '1e308'"),
         ],
         ids=[
             "metrics-empty", "metrics-header-only", "metrics-short-row",
             "metrics-non-numeric", "rsm_fit-empty", "rsm_fit-header-only",
             "rsm_fit-short-row", "rsm_fit-short-header", "metrics-nan",
-            "rsm_fit-inf",
+            "rsm_fit-inf", "metrics-beyond-plot-range",
         ],
     )
     def test_short_csv_exit_2(self, result_dir, capsys, name, text, where):
@@ -468,6 +492,44 @@ class TestHeaderOnlyDesign:
             argv += ["--out", str(tmp_path / "res")]
         assert main(argv) == 2
         assert f"{design}: design has no runs" in capsys.readouterr().err
+
+
+# no row repeats, so no center run to infer the coding from
+UNREPLICATED_DESIGN = (
+    "std,run,A,B,C,D,E,F,G,H,reliability\n"
+    "1,1,0.2,0.2,0.2,0.2,0.2,0.2,0.2,0.2,90\n"
+    "2,2,0.8,0.8,0.8,0.8,0.8,0.8,0.8,0.8,80\n"
+)
+
+
+class TestChecksAfterLoadingNameTheFile:
+    @pytest.mark.parametrize("command", ["anova", "screen", "pipeline"])
+    def test_unreplicated_design(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(pipeline, "run", None)
+        design = tmp_path / "short.csv"
+        design.write_text(UNREPLICATED_DESIGN)
+        argv = [command, "--design", str(design)]
+        if command == "pipeline":
+            argv += ["--out", str(tmp_path / "res")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {design}: design has no replicated center row")
+
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_header_only_observations(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(pipeline, "run", None)
+        obs = tmp_path / "obs.csv"
+        obs.write_text(
+            "id,available_time,stress,complexity,experience_training,"
+            "procedures,ergonomics,fitness_for_duty,work_process,hep\n"
+        )
+        assert len(dataset.load_observations(str(obs))) == 0
+        argv = [command, "--observations", str(obs)]
+        if command == "pipeline":
+            argv += ["--out", str(tmp_path / "res")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {obs}: empty observation set")
+        assert not (tmp_path / "res").exists()
 
 
 def _not_utf8(tmp_path):

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hra_forge import ann
+from hra_forge import ann, dataset
 from hra_forge.cli import main
 from hra_forge.errors import InputError
 from hra_forge.ioutil import bundled_text
 
 SMALL_CONFIG = "epochs=50\nreplications=2\n"
+CASE_STUDY = dataset.bundled_case_study()
 EXIT_CODES = {0, 2, 3, 4}
 
 _ROW = st.integers(0, 10_000)
@@ -165,9 +166,11 @@ def test_mutated_predictor_loads_or_is_input_error(sources, kind, data):
         with open(path, "wb") as handle:
             handle.write(mutate(sources["predictor.txt"], kind, params, " "))
         try:
-            ann.load_predictor(path)
+            predictor = ann.load_predictor(path)
         except InputError as exc:
             assert path in str(exc)
+        else:
+            assert predictor.predict_instances(CASE_STUDY).shape == (len(CASE_STUDY),)
 
 
 OUT_CASES = {

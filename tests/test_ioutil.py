@@ -5,12 +5,20 @@ import io
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hra_forge
 from hra_forge import ann, cli, dataset, ioutil, psf
 from hra_forge.errors import InputError, UnknownLevelError
-from hra_forge.ioutil import atomic_write_text, load
+from hra_forge.ioutil import (
+    atomic_write_text,
+    csv_rows,
+    csv_text,
+    load,
+    parse_float,
+    parse_int,
+)
 
 SRC = Path(hra_forge.__file__).resolve().parent
 
@@ -20,7 +28,7 @@ LOADERS = {
     "training-config": ann.load_training_config,
     "multiplier-config": psf.load_multiplier_config,
     "predictor": ann.load_predictor,
-    "report-csv": lambda path: cli._read_csv(path, (1, 2)),
+    "report-csv": lambda path: cli._read_csv(path, ("observed_hep", "predicted_hep")),
 }
 
 
@@ -103,6 +111,42 @@ class TestContentErrorPrefix:
         path = tmp_path / "crlf.cfg"
         path.write_bytes(b"epochs=7\r\n")
         assert load(path, str) == "epochs=7\n"
+
+
+class TestCsvDialect:
+    def test_cell_rules(self):
+        text = csv_text(
+            ("s", "none", "int", "float", "np.float64", "np.int64"),
+            [["a b", None, 7, 0.1, np.float64(1) / 3, np.int64(5)],
+             ["", None, -12, 2.0, np.float64("1e-300"), np.int64(0)]],
+        )
+        assert text == (
+            "s,none,int,float,np.float64,np.int64\n"
+            "a b,,7,0.10000000000000001,0.33333333333333331,5\n"
+            ",,-12,2,1e-300,0\n"
+        )
+
+    def test_float_cells_round_trip_exactly(self):
+        values = [0.1, 1 / 3, 2.0 ** -1074, 1.7976931348623157e308, -0.0]
+        (row,) = csv_rows(csv_text(["x"] * len(values), [values]))[1:]
+        assert [float(c) for c in row] == values
+
+    def test_header_only(self):
+        assert csv_text(["a", "b"], []) == "a,b\n"
+
+    def test_rows_are_numbered_from_1_after_the_header(self):
+        rows = csv_rows("\n a , b \n\n1,x\n   \r\n2,3,\n")
+        assert rows == [["a", "b"], ["1", "x"], ["2", "3", ""]]
+        with pytest.raises(InputError) as info:
+            parse_float(rows[1][1], 1, rows[0][1])
+        assert str(info.value) == "row 1: column 'b' is not numeric: 'x'"
+        assert parse_int(rows[2][1], 2, "b") == 3
+        with pytest.raises(InputError) as info:
+            parse_int("2.5", 2, "b")
+        assert str(info.value) == "row 2: column 'b' is not an integer: '2.5'"
+
+    def test_empty_text_has_no_rows(self):
+        assert csv_rows("") == [] and csv_rows(" \n\n") == []
 
 
 class TestBundledFixtures:
@@ -188,3 +232,28 @@ class TestBoundaryStaysInOnePlace:
                     stack.extend(ast.iter_child_nodes(node))
         assert {f for f, _ in found} == {"ioutil.py", "cli.py"}
         assert {s for f, s in found if f == "cli.py"} == {"main"}
+
+    def test_fmt_full_is_called_only_by_the_csv_writer_predictor_and_quantify(self):
+        callers = set()
+        for name, tree in _src_trees():
+            for scope in ast.walk(tree):
+                if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+                    continue
+                for node in ast.walk(scope):
+                    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                            and node.func.id == "fmt_full"):
+                        callers.add((name, getattr(scope, "name", "<module>")))
+        assert {c for c in callers if c[1] != "<module>"} == {
+            ("ioutil.py", "_cell"),
+            ("ann.py", "save_predictor"),
+            ("cli.py", "cmd_quantify"),
+        }
+
+    def test_cli_reaches_into_no_private_dataset_name(self):
+        tree = dict(_src_trees())["cli.py"]
+        private = {
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "dataset" and node.attr.startswith("_")
+        }
+        assert private == set()

@@ -19,8 +19,8 @@ from scipy.special import ndtri
 
 from . import ann, dataset, pipeline, rsm, svg
 from .errors import InputError, NumericalError, PipelineAbortedError
-from .ioutil import atomic_write_text, csv_rows, fmt_console, fmt_full, load, naming
-from .ioutil import parse_float
+from .ioutil import atomic_write_text, check_writable, csv_rows, fmt_console, fmt_full
+from .ioutil import load, naming, parse_float
 from .psf import (
     FAILURE_CERTAIN,
     PSF_ORDER,
@@ -112,6 +112,8 @@ def _power(args) -> float:
 def cmd_train(args) -> int:
     obs = _load_observations_arg(args.observations)
     config = _training_config(args)
+    if args.out:
+        check_writable(args.out)  # before the training, not after it
     X, maxima = obs.normalized(PSF_ORDER)
     y = obs.targets()
     predictor = ann.train_replicated(X, y, config, PSF_ORDER, maxima)

@@ -10,6 +10,7 @@ significant digits (exact double round-trip), an empty cell for a missing
 value, data rows numbered from 1 after the header. Console output carries 4.
 """
 import contextlib
+import errno
 import hashlib
 import importlib.resources
 import math
@@ -119,14 +120,31 @@ def bundled_text(name: str) -> str:
     return raw.decode("utf-8")
 
 
+def _temp_beside(path: str):
+    """A new temporary file in path's directory: (fd, temp path)."""
+    directory = os.path.dirname(path) or "."
+    try:
+        return tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:  # name the target, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+def check_writable(path) -> None:
+    """Fail before any work with the OSError a later ``atomic_write_text``
+    to path would raise: path is a directory, or its directory is missing
+    or cannot take a new file."""
+    path = os.fspath(path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    fd, tmp = _temp_beside(path)
+    os.close(fd)
+    os.unlink(tmp)
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write text to path atomically (temp file + rename, same directory)."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    except OSError as exc:  # name the target, not the temp file
-        raise OSError(exc.errno, exc.strerror, path) from exc
+    fd, tmp = _temp_beside(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -301,6 +301,31 @@ class FitResult:
         return float(self.residuals @ self.residuals)
 
 
+def _least_squares(X: np.ndarray, z: np.ndarray):
+    """The OLS core of ``fit`` and of every elimination pass: the
+    coefficients, rank, fitted values and residuals of z on X's columns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rank: X's singular values above sigma_max * max(M, N) * eps, whatever z is
+        coef, _, rank, _ = np.linalg.lstsq(X, z, rcond=None)
+        fitted = X @ coef
+        return coef, rank, fitted, z - fitted
+
+
+def _fit_result(spec, coding, ranges, X, z, sst, coef, fitted, residuals) -> FitResult:
+    sse = float(residuals @ residuals)
+    return FitResult(
+        spec=spec,
+        coding=coding,
+        coefficients=dict(zip(spec.terms, (float(c) for c in coef))),
+        fitted=fitted,
+        residuals=residuals,
+        r2=1.0 - sse / sst if sst > 0 else 1.0,
+        coded_ranges=ranges,
+        matrix=X,
+        transformed=z,
+    )
+
+
 def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> FitResult:
     """Ordinary least squares of response**power on the coded model columns."""
     if not rows:
@@ -318,8 +343,7 @@ def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> Fit
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.array([r.response for r in rows], dtype=float) ** spec.response_power
         sst = float(((z - z.mean()) ** 2).sum())
-        # rank: X's singular values above sigma_max * max(M, N) * eps, whatever z is
-        coef_vec, _, rank, _ = np.linalg.lstsq(X, z, rcond=None)
+    coef, rank, fitted, residuals = _least_squares(X, z)
     if rank < X.shape[1]:
         # name the columns whose removal does not lower the rank
         collinear = [
@@ -333,26 +357,11 @@ def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> Fit
         raise NumericalError(
             f"response power {spec.response_power:g} overflows the sums of squares"
         )
-    fitted = X @ coef_vec
-    residuals = z - fitted
-    sse = float(residuals @ residuals)
-    r2 = 1.0 - sse / sst if sst > 0 else 1.0
-    coef = dict(zip(spec.terms, (float(c) for c in coef_vec)))
     ranges = {
         l: (float(lo), float(hi))
         for l, lo, hi in zip(letters, coded.min(axis=0), coded.max(axis=0))
     }
-    return FitResult(
-        spec=spec,
-        coding=coding,
-        coefficients=coef,
-        fitted=fitted,
-        residuals=residuals,
-        r2=r2,
-        coded_ranges=ranges,
-        matrix=X,
-        transformed=z,
-    )
+    return _fit_result(spec, coding, ranges, X, z, sst, coef, fitted, residuals)
 
 
 # --- ANOVA -------------------------------------------------------------------
@@ -406,6 +415,47 @@ def _f_test(ss: float, df: int, ms_error: float, df_error: int):
     return ms, f, _f_pvalue(f, df, df_error)
 
 
+def _term_tests(matrix: np.ndarray, coef: np.ndarray, ms_error: float, df_error: int):
+    """(SS, F, p) arrays of each column's one-df partial test, by ``_f_test``'s
+    rules: SS is b_i^2 / [(X'X)^-1]_ii, floored at 0, and its mean square;
+    ms_error 0 gives F = inf and p = 0. With X = QR the diagonal of
+    (X'X)^-1 = R^-1 R^-T is the row sums of R^-1 squared elementwise."""
+    r_inv = np.linalg.inv(np.linalg.qr(matrix, mode="r"))
+    ss = np.maximum(coef * coef / (r_inv * r_inv).sum(axis=1), 0.0)
+    if ms_error > 0:
+        with np.errstate(over="ignore"):
+            f = ss / ms_error
+    else:
+        f = np.full_like(ss, np.inf)
+    return ss, f, np.where(np.isinf(f), 0.0, fdtrc(1, df_error, f))
+
+
+def _corrected_total(z: np.ndarray, power: float) -> float:
+    """The corrected total SS of the transformed response, which must not be 0."""
+    ss_total = float(((z - z.mean()) ** 2).sum())
+    if ss_total == 0.0:
+        raise NumericalError(
+            f"the response raised to power {power:g} is constant; "
+            "the F tests are undefined"
+        )
+    return ss_total
+
+
+def _pure_error(rows: Sequence[DesignRow], spec: ModelSpec, z: np.ndarray):
+    """(SS, df) of pure error: each group of replicate rows (identical level
+    vectors) pools its deviations from the group mean. SS is 0 at df 0."""
+    _, levels = _design_levels(rows, spec)
+    _, group, counts = np.unique(
+        levels, axis=0, return_inverse=True, return_counts=True
+    )
+    group = group.reshape(-1)  # numpy 2.0.0 returns it with a trailing axis
+    df_pe = len(z) - len(counts)
+    if df_pe == 0:
+        return 0.0, 0
+    dev = z - (np.bincount(group, weights=z) / counts)[group]
+    return float(dev @ dev), df_pe
+
+
 def _check_additivity(parts, total, what):
     scale = max(abs(total), 1.0)
     if abs(sum(parts) - total) > 1e-6 * scale:
@@ -427,51 +477,34 @@ def anova(fit_result: FitResult, rows: Sequence[DesignRow]) -> AnovaTable:
     elementwise. Against refitting with the column deleted, term p-values
     agree within 1e-9 relative, and term SS and F within 1e-9 relative to
     max(F, 1): below F = 1 the refit's own difference of two SSEs carries
-    rounding of about eps * SSE. One F rule, ``_f_test``, tests the Model and
-    term rows against the residual mean square and Lack of Fit against pure
-    error. Without replicate rows the lack-of-fit partition is omitted; a
-    constant transformed response leaves no F defined and raises
+    rounding of about eps * SSE. One F rule tests the Model row
+    (``_f_test``) and the term rows (``_term_tests``, which elimination's
+    passes share) against the residual mean square, and Lack of Fit against
+    pure error. Without replicate rows the lack-of-fit partition is omitted;
+    a constant transformed response leaves no F defined and raises
     NumericalError.
     """
     spec = fit_result.spec
     z = fit_result.transformed
-    _, levels = _design_levels(rows, spec)
     n = len(z)
     sse = fit_result.sse
-    ss_total = float(((z - z.mean()) ** 2).sum())
+    ss_total = _corrected_total(z, spec.response_power)
     ss_model = float(((fit_result.fitted - z.mean()) ** 2).sum())
     df_model = len(spec.terms) - 1
     df_resid = n - len(spec.terms)  # fit demands more runs than terms
-    if ss_total == 0.0:
-        raise NumericalError(
-            f"the response raised to power {spec.response_power:g} is constant; "
-            "the F tests are undefined"
-        )
     ms_resid = sse / df_resid
     out = [
         AnovaRow("Model", ss_model, df_model,
                  *_f_test(ss_model, df_model, ms_resid, df_resid))
     ]
-    r_inv = np.linalg.inv(np.linalg.qr(fit_result.matrix, mode="r"))
-    inv_diag = (r_inv * r_inv).sum(axis=1)
     b = np.array([fit_result.coefficients[t] for t in spec.terms])
-    for term, ss in zip(spec.terms, b * b / inv_diag):
-        if term.kind == _KIND_INTERCEPT:
-            continue
-        ss_term = max(float(ss), 0.0)
-        out.append(
-            AnovaRow(str(term), ss_term, 1, *_f_test(ss_term, 1, ms_resid, df_resid))
-        )
+    tests = _term_tests(fit_result.matrix, b, ms_resid, df_resid)
+    for term, ss, f, p in zip(spec.terms, *(a.tolist() for a in tests)):
+        if term.kind != _KIND_INTERCEPT:
+            out.append(AnovaRow(str(term), ss, 1, ss, f, p))  # one df: ms = ss
     out.append(AnovaRow("Residual", sse, df_resid, ms_resid, None, None))
-
-    _, group, counts = np.unique(
-        levels, axis=0, return_inverse=True, return_counts=True
-    )
-    group = group.reshape(-1)  # numpy 2.0.0 returns it with a trailing axis
-    df_pe = n - len(counts)
+    ss_pe, df_pe = _pure_error(rows, spec, z)
     if df_pe > 0:
-        dev = z - (np.bincount(group, weights=z) / counts)[group]
-        ss_pe = float(dev @ dev)
         ss_lof = max(sse - ss_pe, 0.0)
         df_lof = df_resid - df_pe
         ms_pe = ss_pe / df_pe
@@ -508,12 +541,15 @@ def backward_eliminate(
 ):
     """Remove the weakest term until everything removable is significant.
 
-    Each pass computes partial p-values of the current fit and drops the
-    removable term with the largest p above alpha (ties broken by canonical
-    term order). Each spec is fit once: the reduced spec's fit gives the
-    step's ``sse_after`` and the next pass's p-values.
-    Main effects are not removable while any interaction or quadratic child
-    survives, so the result stays hierarchical. Returns (reduced spec, steps).
+    Each pass computes the partial p-values of the current model and drops
+    the removable term with the largest p above alpha (ties broken by
+    canonical term order). Main effects are not removable while any
+    interaction or quadratic child survives, so the result stays
+    hierarchical. Each pass refits a subset of the full spec's model
+    columns with ``fit``'s arithmetic and tests it with ``anova``'s, so
+    every step's p-value and ``sse_after`` (the SSE once the term is gone)
+    are those of ``anova(fit(...))`` on that spec. Returns (reduced spec,
+    steps).
     """
     spec, steps, _, _ = _eliminate(rows, full_spec, alpha, coding)
     return spec, steps
@@ -525,28 +561,62 @@ def _eliminate(
     alpha: float,
     coding: FactorCoding,
 ):
-    """``backward_eliminate`` plus the reduced spec's fit and ANOVA table,
-    which its last pass computed: (spec, steps, fit, table)."""
+    """``backward_eliminate`` plus the reduced spec's fit and ANOVA table:
+    (spec, steps, fit, table).
+
+    The trail is built once: one ``fit`` of the full spec (its only rank and
+    overflow check) gives the model matrix X_full and the transformed
+    response z; the corrected total, the pure-error SS and each term's
+    parent columns follow. A pass is a list of kept column indices: it
+    refits a C-contiguous copy of those columns of X_full (a strided view
+    would take another BLAS path and move SSEs in the last digits), tests
+    every column at once with ``_term_tests``, keeps ``anova``'s additivity
+    checks and drops the removable column with the largest p. Deleting
+    columns can neither lower the smallest singular value nor raise the
+    largest, so every kept subset has full rank when X_full has. Only the
+    reduced spec gets a ModelSpec, FitResult and AnovaTable.
+    """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must be in (0, 1), got {alpha}")
-    spec = full_spec
-    current = fit(rows, spec, coding)
+    full = fit(rows, full_spec, coding)
+    X_full, z = full.matrix, full.transformed
+    ss_total = _corrected_total(z, full_spec.response_power)
+    ss_pe, df_pe = _pure_error(rows, full_spec, z)
+    terms = full_spec.terms
+    at = {t: j for j, t in enumerate(terms)}
+    parent_of = np.zeros((len(terms), len(terms)), dtype=bool)  # [j, k]: k is j's parent
+    for j, t in enumerate(terms):
+        parent_of[j, [at[q] for q in _parents(t)]] = True
+    droppable = np.array([t.kind != _KIND_INTERCEPT for t in terms])
+    cols = np.arange(len(terms))
+    X = X_full
+    coef = np.array([full.coefficients[t] for t in terms])
+    fitted, residuals = full.fitted, full.residuals
     steps: list[EliminationStep] = []
     while True:
-        table = anova(current, rows)
-        protected = {parent for t in spec.terms for parent in _parents(t)}
-        candidates = [
-            (term, p)
-            for term, p in table.term_pvalues().items()
-            if p > alpha and term not in protected
-        ]
-        if not candidates:
-            return spec, tuple(steps), current, table
-        # largest p first; canonical term order settles exact ties
-        term, p = min(candidates, key=lambda tp: (-tp[1], tp[0]))
-        spec = spec.without(term)
-        current = fit(rows, spec, coding)
-        steps.append(EliminationStep(term, p, current.sse))
+        sse = float(residuals @ residuals)
+        if df_pe > 0:
+            _check_additivity((max(sse - ss_pe, 0.0), ss_pe), sse,
+                              "lack of fit + pure error")
+        ss_model = float(((fitted - z.mean()) ** 2).sum())
+        _check_additivity((ss_model, sse), ss_total, "model + residual")
+        df_resid = len(z) - len(cols)
+        _, _, p = _term_tests(X, coef, sse / df_resid, df_resid)
+        protected = parent_of[np.ix_(cols, cols)].any(axis=0)
+        removable = droppable[cols] & ~protected & (p > alpha)
+        if not removable.any():
+            break
+        # largest p first; argmax keeps the first, canonical, of exact ties
+        drop = int(np.argmax(np.where(removable, p, -1.0)))
+        term, p_value = terms[cols[drop]], float(p[drop])
+        cols = np.delete(cols, drop)
+        X = np.ascontiguousarray(X_full[:, cols])
+        coef, _, fitted, residuals = _least_squares(X, z)
+        steps.append(EliminationStep(term, p_value, float(residuals @ residuals)))
+    spec = ModelSpec(tuple(terms[j] for j in cols), full_spec.response_power)
+    reduced = _fit_result(spec, coding, full.coded_ranges, X, z, ss_total,
+                          coef, fitted, residuals)
+    return spec, tuple(steps), reduced, anova(reduced, rows)
 
 
 @dataclass(frozen=True)

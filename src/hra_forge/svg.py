@@ -6,6 +6,7 @@ timestamps, fixed float formatting throughout.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional, Sequence
 
 _W, _H = 640, 480
@@ -36,8 +37,14 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return ticks
 
 
+#: A span below this share of the values' magnitude, or below the smallest
+#: normal double, is drawn as a point: its tick step would round to 0 or
+#: vanish in the rounding of the tick values.
+_MIN_SPAN = 1e-12
+
+
 def _expand(lo: float, hi: float) -> tuple[float, float]:
-    if hi <= lo:
+    if hi - lo <= max(abs(lo), abs(hi)) * _MIN_SPAN or hi - lo < sys.float_info.min:
         pad = max(abs(lo), 1.0) * 0.1
         return lo - pad, hi + pad
     pad = (hi - lo) * 0.05

@@ -9,7 +9,7 @@ import pytest
 
 import hra_forge
 from conftest import count_calls, noise_ccd
-from hra_forge import dataset, pipeline, rsm
+from hra_forge import ann, dataset, pipeline, rsm
 from hra_forge.cli import main
 from hra_forge.errors import NumericalError
 
@@ -100,6 +100,19 @@ class TestTrainCommand:
         cfg.write_text("seed=-4\n")
         assert main(["train", "--config", str(cfg)]) == 2
         assert "seed must be >= 0, got -4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["dir", "no/p.txt"], ids=["directory", "missing-dir"])
+    def test_unwritable_out_fails_before_training(self, tmp_path, capsys, monkeypatch, target):
+        def must_not_run(*args):
+            raise AssertionError("train_replicated called")
+
+        monkeypatch.setattr(ann, "train_replicated", must_not_run)
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / target
+        assert main(["train", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert not [n for n in os.listdir(tmp_path) if n.startswith(".tmp-")]
 
     def test_header_only_observations_exit_2(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
@@ -199,11 +212,12 @@ class TestScreenCommand:
         assert "; power=3\n" in default
 
     def test_screen_reuses_elimination_fit_and_anova(self, monkeypatch, capsys):
+        # one fit of the full spec and one ANOVA of the reduced spec
         calls = count_calls(monkeypatch, ("fit", "anova"), rsm)
         assert main(["screen"]) == 0
         removed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("removed ")]
-        steps = int(removed[0].split()[1])
-        assert calls == {"fit": steps + 1, "anova": steps + 1}
+        assert int(removed[0].split()[1]) > 0
+        assert calls == {"fit": 1, "anova": 1}
 
     @pytest.mark.parametrize("power", ["100", "200"])
     def test_overflowing_power_exit_4(self, power, capsys):
@@ -419,6 +433,17 @@ class TestReportShortCsv:
         capsys.readouterr()
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
         assert {"observed_hep", "predicted_hep"} <= set(pipeline.METRICS_COLUMNS)
+
+    @pytest.mark.parametrize(
+        "low, high", [("0", "5e-324"), ("1", "1.0000000000000002")], ids=["subnormal", "one-ulp"]
+    )
+    def test_span_too_small_for_ticks_reports(self, result_dir, capsys, low, high):
+        # drawn as a point, not a log10(0) error or an endless tick loop
+        (result_dir / "iterations" / "01" / "metrics.csv").write_text(
+            METRICS_HEADER + f"I1,{low},{low},0.0004\nI2,{high},{high},0.0004\n"
+        )
+        assert main(["report", "--result", str(result_dir)]) == 0
+        capsys.readouterr()
 
     def test_stray_directory_exit_2(self, result_dir, capsys):
         stray = result_dir / "iterations" / "notes"

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import noise_ccd
+from conftest import count_calls, noise_ccd
 from hra_forge import rsm
 from hra_forge.dataset import DesignRow, bundled_table4
 from hra_forge.errors import InputError, NumericalError, RankDeficientError
@@ -384,7 +384,7 @@ class TestQrAnovaMatchesColumnDeletion:
                 anova(result, rows), column_deletion_anova(result, rows)
             )
 
-    def test_elimination_trail_identical(self, monkeypatch):
+    def test_elimination_trail_identical(self):
         rng = np.random.default_rng(1234)
         table4 = bundled_table4()
         cases = [(sorted(table4[0].levels), infer_coding(table4), table4)]
@@ -393,9 +393,9 @@ class TestQrAnovaMatchesColumnDeletion:
         for letters, coding, rows in cases:
             full = full_quadratic(letters, 3.0)
             reduced, steps = backward_eliminate(rows, full, 0.05, coding)
-            with monkeypatch.context() as m:
-                m.setattr(rsm, "anova", column_deletion_anova)
-                want_reduced, want_steps = backward_eliminate(rows, full, 0.05, coding)
+            want_reduced, want_steps, _, _ = refit_trail(
+                rows, full, 0.05, coding, column_deletion_anova
+            )
             assert reduced == want_reduced
             assert [(s.term, s.sse_after) for s in steps] == [
                 (s.term, s.sse_after) for s in want_steps
@@ -405,6 +405,69 @@ class TestQrAnovaMatchesColumnDeletion:
             kept.append(set(reduced.letters()))
         assert kept[0] == set("ACDH")
         assert all({"A", "B"} <= letters for letters in kept[1:])
+
+
+def refit_trail(rows, spec, alpha, coding, table_of=anova):
+    """Backward elimination by refitting: one ``fit`` and one ``table_of``
+    table per spec, as elimination ran before its passes kept column
+    indices of one model matrix. Returns (spec, steps, fit, table)."""
+    current = fit(rows, spec, coding)
+    steps = []
+    while True:
+        table = table_of(current, rows)
+        protected = {parent for t in spec.terms for parent in rsm._parents(t)}
+        candidates = [
+            (term, p)
+            for term, p in table.term_pvalues().items()
+            if p > alpha and term not in protected
+        ]
+        if not candidates:
+            return spec, tuple(steps), current, table
+        term, p = min(candidates, key=lambda tp: (-tp[1], tp[0]))
+        spec = spec.without(term)
+        current = fit(rows, spec, coding)
+        steps.append(rsm.EliminationStep(term, p, current.sse))
+
+
+class TestColumnIndexTrailMatchesRefitting:
+    """Elimination on column indices of one matrix equals refitting each
+    spec, bit for bit: spec, steps, the final fit and the final table."""
+
+    @staticmethod
+    def cases():
+        table4 = bundled_table4()
+        letters4, coding4 = sorted(table4[0].levels), infer_coding(table4)
+        out = [(letters4, coding4, table4, power, 0.05) for power in (1.0, 3.0)]
+        rng = np.random.default_rng(2024)
+        for k in (4, 5, 6, 7, 8):
+            for _ in range(2):
+                letters, coding, rows = planted_ab_ccd(rng, k)
+                out.append((letters, coding, rows, 3.0, 0.05))
+        for letters, seed in (("ABC", 0), ("ABCDEFGH", 4)):
+            coding, rows = noise_ccd(list(letters), seed)
+            out.append((list(letters), coding, rows, 1.0, 0.05))
+        out.append((letters4, coding4, table4, 3.0, 1.0 - 1e-12))
+        return out
+
+    def test_bit_identical(self):
+        total_steps = 0
+        for letters, coding, rows, power, alpha in self.cases():
+            full = full_quadratic(letters, power)
+            spec, steps, got_fit, got_table = rsm._eliminate(rows, full, alpha, coding)
+            want_spec, want_steps, want_fit, want_table = refit_trail(
+                rows, full, alpha, coding
+            )
+            assert spec == want_spec
+            assert steps == want_steps
+            assert got_fit.spec == want_fit.spec
+            assert got_fit.coefficients == want_fit.coefficients
+            assert np.array_equal(got_fit.matrix, want_fit.matrix)
+            assert np.array_equal(got_fit.fitted, want_fit.fitted)
+            assert np.array_equal(got_fit.residuals, want_fit.residuals)
+            assert got_fit.r2 == want_fit.r2
+            assert got_table == want_table
+            total_steps += len(steps)
+        assert total_steps > 100
 
 
 class TestImportFootprint:
@@ -649,21 +712,15 @@ class TestBackwardElimination:
         ]
 
     def test_each_spec_fit_once(self, monkeypatch):
+        # one fit of the full spec and one ANOVA of the reduced spec per trail
         rows = bundled_table4()
         coding = infer_coding(rows)
         full = full_quadratic(sorted(rows[0].levels), 3.0)
-        fitted_specs = []
         real_fit = rsm.fit
-
-        def counting_fit(rows, spec, coding):
-            fitted_specs.append(spec)
-            return real_fit(rows, spec, coding)
-
-        monkeypatch.setattr(rsm, "fit", counting_fit)
+        calls = count_calls(monkeypatch, ("fit", "anova"), rsm)
         _, steps = backward_eliminate(rows, full, 0.05, coding)
         assert len(steps) == 37
-        assert len(fitted_specs) == len(steps) + 1
-        assert len(set(fitted_specs)) == len(fitted_specs)
+        assert calls == {"fit": 1, "anova": 1}
         # sse_after is the SSE of the spec left after removing the step's term
         spec = full
         for step in steps:

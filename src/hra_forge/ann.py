@@ -8,12 +8,16 @@ seeds and the ensemble predicts with the arithmetic mean of its members'
 outputs. Averaging weights instead would be meaningless: hidden units can be
 permuted freely, so weight vectors from different runs do not correspond.
 
-All replicas train together: their weights are stacked along a leading
-replica axis, and one forward pass (``_forward``) and one backward pass
-(``_gradients``) over stacked networks serve training, prediction and the
-gradient check. ``train_one`` is the one-seed case of the one training
-loop, and each ensemble member is bit-for-bit the network ``train_one``
-trains from the same seed.
+All replicas train together. Their parameters are one (R, P) block, one
+row per network (``_block``), and a ``_Workspace`` holds that block, views of
+it as stacked weight arrays, and every activation, error, delta, loss and
+gradient array an epoch writes. One forward pass (``_forward``), one loss
+(``_loss``) and one backward pass (``_gradients``) work in place in a
+workspace and serve training, prediction and the gradient check; prediction
+and the gradient check build a fresh workspace per call, training builds one
+per live set (see ``_train_seeds``). ``train_one`` is the one-seed case of
+the one training loop, and each ensemble member is bit-for-bit the network
+``train_one`` trains from the same seed.
 """
 from __future__ import annotations
 
@@ -29,6 +33,9 @@ from .psf import PsfId
 #: Epoch window for the plateau stopping rule: training stops when the loss
 #: improvement over this many epochs falls below the configured tolerance.
 PLATEAU_WINDOW = 100
+
+#: Epochs the loss trace has room for before its first doubling.
+_TRACE_BLOCK = 1024
 
 _PREDICTOR_MAGIC = "hra-forge predictor v1"
 
@@ -138,6 +145,14 @@ class TrainedPredictor:
             raise InputError("active PSF count must equal the input count")
         if self.maxima.keys() != set(self.active_psfs):
             raise InputError("maxima must hold one value per active PSF")
+        for m in self.members:
+            if m.weights.topology != self.topology:
+                have, want = m.weights.topology, self.topology
+                raise InputError(
+                    f"member {m.seed} has weights for {have.n_inputs} inputs and "
+                    f"{have.n_hidden} hidden units, topology is {want.n_inputs} "
+                    f"inputs and {want.n_hidden} hidden units"
+                )
 
     def predict_normalized(self, X) -> np.ndarray:
         """Ensemble-mean HEP for rows of normalized inputs."""
@@ -164,10 +179,6 @@ class MetricReport:
     r2: Optional[float]
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 def init_weights(topology: Topology, seed: int) -> WeightSet:
     """Uniform [-0.5, 0.5] initialization, deterministic per (topology, seed).
 
@@ -183,48 +194,144 @@ def init_weights(topology: Topology, seed: int) -> WeightSet:
     )
 
 
-def _stack(weight_sets: Sequence[WeightSet]):
-    """The networks' parameters stacked along a leading replica axis: the
-    (R, H, I), (R, H), (R, H) and (R,) arrays the passes below take."""
+def _block(weight_sets: Sequence[WeightSet]) -> np.ndarray:
+    """The networks' parameters as one (R, P) block, P = H*I + 2H + 1: one
+    row per network, holding w_hidden (row-major), b_hidden, w_output and
+    b_output in that order."""
+    return np.array([
+        np.concatenate((w.w_hidden.ravel(), w.b_hidden, w.w_output, (w.b_output,)))
+        for w in weight_sets
+    ])
+
+
+def _unpack(block: np.ndarray, topology: Topology):
+    """Views of a ``_block``-shaped array as stacked (R, H, I), (R, H), (R, H)
+    and (R,) arrays, in WeightSet field order. Writing a view writes the block."""
+    h, a = topology.n_hidden, topology.n_hidden * topology.n_inputs
     return (
-        np.stack([w.w_hidden for w in weight_sets]),
-        np.stack([w.b_hidden for w in weight_sets]),
-        np.stack([w.w_output for w in weight_sets]),
-        np.array([w.b_output for w in weight_sets]),
+        block[:, :a].reshape(-1, h, topology.n_inputs),
+        block[:, a:a + h],
+        block[:, a + h:a + 2 * h],
+        block[:, a + 2 * h],
     )
 
 
-def _forward(X, w1, b1, w2, b2):
-    """Hidden (R, n, H) and output (R, n) activations of R stacked networks.
-    Per replica, each ``np.matmul`` makes the BLAS call one unstacked network
-    would, so replica r's values are exactly those of network r alone."""
-    if X.shape[1] != w1.shape[2]:
+class _Workspace:
+    """R stacked networks on n rows: their parameter block and every array
+    the passes write, allocated once.
+
+    ``params`` is the (R, P) block of ``_block`` and ``w1``, ``b1``, ``w2``
+    and ``b2`` are views into it; ``grads`` has the same layout and
+    ``_gradients`` fills it through ``g_w1`` ... ``g_b2``, so one training
+    update is one subtraction of blocks. The transposed and broadcast views
+    the passes read are made here as well, so a pass allocates nothing.
+    ``backward=False`` leaves out the arrays only ``_gradients`` needs.
+    """
+
+    def __init__(self, params: np.ndarray, topology: Topology, n: int,
+                 backward: bool = True):
+        r, h = params.shape[0], topology.n_hidden
+        self.topology = topology
+        self.n = n
+        self.params = params
+        self.w1, self.b1, self.w2, self.b2 = _unpack(params, topology)
+        self.w1_t = self.w1.transpose(0, 2, 1)
+        self.b1_row = self.b1[:, None, :]
+        self.w2_col = self.w2[:, :, None]
+        self.b2_col = self.b2[:, None]
+        self.hidden = np.empty((r, n, h))
+        self.out_col = np.empty((r, n, 1))
+        self.out = self.out_col[:, :, 0]
+        self.err = np.empty((r, n))
+        self.err_row = self.err[:, None, :]
+        self.err_col = self.err[:, :, None]
+        self.loss_cell = np.empty((r, 1, 1))
+        self.loss = self.loss_cell[:, 0, 0]
+        if not backward:
+            return
+        self.gain = np.empty(r)  # each replica's loss drop over the plateau window
+        self.grads = np.empty_like(params)
+        self.g_w1, self.g_b1, self.g_w2, self.g_b2 = _unpack(self.grads, topology)
+        self.g_w2_col = self.g_w2[:, :, None]
+        self.w2_row = self.w2[:, None, :]
+        self.hidden_t = self.hidden.transpose(0, 2, 1)
+        self.out_slope = np.empty((r, n))  # 1 - out
+        self.d_out_col = np.empty((r, n, 1))
+        self.d_out = self.d_out_col[:, :, 0]
+        self.hidden_slope = np.empty((r, n, h))  # 1 - hidden
+        self.d_hidden = np.empty((r, n, h))
+        self.d_hidden_t = self.d_hidden.transpose(0, 2, 1)
+
+    def keep(self, rows) -> "_Workspace":
+        """A new workspace for the networks that the boolean ``rows`` selects,
+        holding their parameters, activations and errors."""
+        kept = _Workspace(self.params[rows], self.topology, self.n)
+        kept.hidden[...] = self.hidden[rows]
+        kept.out[...] = self.out[rows]
+        kept.err[...] = self.err[rows]
+        return kept
+
+
+def _squash(z):
+    """The logistic 1 / (1 + exp(-z)), in place, one operation at a time."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.add(z, 1.0, out=z)
+    np.divide(1.0, z, out=z)
+
+
+def _forward(X, ws: _Workspace) -> None:
+    """Hidden (R, n, H) and output (R, n) activations of the workspace's
+    networks into ``ws.hidden`` and ``ws.out``. Per replica, each
+    ``np.matmul`` makes the BLAS call one unstacked network would, so replica
+    r's values are exactly those of network r alone."""
+    if X.shape[1] != ws.w1.shape[2]:
         raise InputError(
-            f"input has {X.shape[1]} components, network expects {w1.shape[2]}"
+            f"input has {X.shape[1]} components, network expects {ws.w1.shape[2]}"
         )
-    hidden = _sigmoid(np.matmul(X, w1.transpose(0, 2, 1)) + b1[:, None, :])
-    return hidden, _sigmoid(np.matmul(hidden, w2[:, :, None])[:, :, 0] + b2[:, None])
+    np.matmul(X, ws.w1_t, out=ws.hidden)
+    np.add(ws.hidden, ws.b1_row, out=ws.hidden)
+    _squash(ws.hidden)
+    np.matmul(ws.hidden, ws.w2_col, out=ws.out_col)
+    np.add(ws.out, ws.b2_col, out=ws.out)
+    _squash(ws.out)
 
 
-def _gradients(X, hidden, out, err, w2):
-    """Backward pass: the mean-squared-error gradients of R stacked networks,
-    stacked like ``_stack``'s arrays, from ``_forward``'s activations and the
-    errors ``out - y``."""
-    # d loss / d preactivation of the output unit
-    d_out = (2.0 / X.shape[0]) * err * out * (1.0 - out)
-    d_hidden = d_out[:, :, None] * w2[:, None, :] * hidden * (1.0 - hidden)
-    return (
-        np.matmul(d_hidden.transpose(0, 2, 1), X),
-        d_hidden.sum(axis=1),
-        np.matmul(hidden.transpose(0, 2, 1), d_out[:, :, None])[:, :, 0],
-        d_out.sum(axis=1),
-    )
+def _loss(ws: _Workspace, y) -> None:
+    """The errors ``out - y`` into ``ws.err`` and each network's mean squared
+    error into ``ws.loss``, as a per-replica dot product: einsum can differ in
+    the last ulp, which could move a plateau stop."""
+    np.subtract(ws.out, y, out=ws.err)
+    np.matmul(ws.err_row, ws.err_col, out=ws.loss_cell)
+    np.divide(ws.loss, ws.n, out=ws.loss)
+
+
+def _gradients(X, ws: _Workspace) -> None:
+    """Backward pass: the mean-squared-error gradients of the workspace's
+    networks into ``ws.grads``, from ``_forward``'s activations and
+    ``_loss``'s errors."""
+    # d loss / d preactivation of the output unit: 2/n * err * out * (1 - out)
+    np.multiply(2.0 / ws.n, ws.err, out=ws.d_out)
+    np.multiply(ws.d_out, ws.out, out=ws.d_out)
+    np.subtract(1.0, ws.out, out=ws.out_slope)
+    np.multiply(ws.d_out, ws.out_slope, out=ws.d_out)
+    # d_out * w2 * hidden * (1 - hidden)
+    np.multiply(ws.d_out_col, ws.w2_row, out=ws.d_hidden)
+    np.multiply(ws.d_hidden, ws.hidden, out=ws.d_hidden)
+    np.subtract(1.0, ws.hidden, out=ws.hidden_slope)
+    np.multiply(ws.d_hidden, ws.hidden_slope, out=ws.d_hidden)
+    np.matmul(ws.d_hidden_t, X, out=ws.g_w1)
+    np.add.reduce(ws.d_hidden, axis=1, out=ws.g_b1)
+    np.matmul(ws.hidden_t, ws.d_out_col, out=ws.g_w2_col)
+    np.add.reduce(ws.d_out, axis=1, out=ws.g_b2)
 
 
 def forward_batch(weights: WeightSet, X) -> np.ndarray:
     """Network output for each row of X; every value strictly inside (0, 1)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return _forward(X, *_stack([weights]))[1][0]
+    ws = _Workspace(_block([weights]), weights.topology, X.shape[0], backward=False)
+    _forward(X, ws)
+    return ws.out[0]
 
 
 def forward(weights: WeightSet, x) -> float:
@@ -240,27 +347,43 @@ def loss_and_gradient(weights: WeightSet, X, y):
     differences checks the gradient that training applies.
     """
     X = np.asarray(X, dtype=float)
-    w1, b1, w2, b2 = _stack([weights])
-    hidden, out = _forward(X, w1, b1, w2, b2)
-    err = out - np.asarray(y, dtype=float)
-    g_w1, g_b1, g_w2, g_b2 = _gradients(X, hidden, out, err, w2)
-    loss = float(err[0] @ err[0]) / X.shape[0]
-    return loss, (g_w1[0], g_b1[0], g_w2[0], float(g_b2[0]))
+    ws = _Workspace(_block([weights]), weights.topology, X.shape[0])
+    _forward(X, ws)
+    _loss(ws, np.asarray(y, dtype=float))
+    _gradients(X, ws)
+    return float(ws.loss[0]), (ws.g_w1[0], ws.g_b1[0], ws.g_w2[0], float(ws.g_b2[0]))
+
+
+def _grown(trace: np.ndarray, cap: int) -> np.ndarray:
+    """``trace`` copied into the first rows of an array with twice its rows,
+    or ``cap`` rows if that is fewer; the rows after the copy are unset."""
+    grown = np.empty((min(2 * trace.shape[0], cap), trace.shape[1]))
+    grown[:trace.shape[0]] = trace
+    return grown
 
 
 def _train_seeds(X, y, topology: Topology, config: TrainingConfig, seeds):
     """Train one replica per seed, all replicas as one batched program.
 
-    The replicas' weights are stacked by ``_stack``, and every epoch runs
-    ``_forward`` and ``_gradients`` over the replicas still live, so every
+    The live replicas' parameters are one (R, P) block in a ``_Workspace``
+    (w_hidden, b_hidden, w_output and b_output are views into it), together
+    with every activation, error, delta, loss and gradient array an epoch
+    writes. An epoch is ``_forward``, ``_loss`` and ``_gradients`` into those
+    arrays, then one multiply of the gradient block by the learning rate and
+    one subtraction from the parameter block, so it allocates nothing; every
     replica's arithmetic is exactly that of training it alone. A replica
     leaves the live set when it meets the plateau rule or its loss is not
-    finite; the stacked arrays are compacted only on epochs where some
-    replica stops.
+    finite. Only on an epoch where some replica stops is a new workspace
+    built, and the trace's columns copied, for the replicas still live.
+
+    The loss trace holds one row per epoch and one column per live replica.
+    It starts with room for a block of epochs and doubles, up to
+    PLATEAU_WINDOW + max_epochs rows, whenever the epochs run fill it, so its
+    memory follows the epochs run, not the epoch cap.
 
     Returns one entry per seed, in seed order: ``(weights, loss trace)`` with
-    the trace as an array view, or the TrainingDivergedError of a replica
-    whose loss became non-finite.
+    the trace as an array, or the TrainingDivergedError of a replica whose
+    loss became non-finite.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -271,58 +394,55 @@ def _train_seeds(X, y, topology: Topology, config: TrainingConfig, seeds):
             f"training data has {X.shape[1]} inputs, topology expects "
             f"{topology.n_inputs}"
         )
-    w1, b1, w2, b2 = _stack([init_weights(topology, seed) for seed in seeds])
-    live = np.arange(len(seeds))  # seed index of each stacked replica
+    ws = _Workspace(_block([init_weights(topology, seed) for seed in seeds]),
+                    topology, X.shape[0])
+    live = np.arange(len(seeds))  # seed index of each live replica
     results: list = [None] * len(seeds)
     lr = config.learning_rate
     tol = config.loss_tolerance
-    n = X.shape[0]
-    # trace[i, PLATEAU_WINDOW + e] is the loss of seeds[i]'s replica before
-    # epoch e's update; a row is written only while its replica is live, so
-    # only its used prefix is ever touched. The first PLATEAU_WINDOW columns
-    # hold +inf, so one test covers both stop rules from epoch 0:
-    # inf - loss >= tol holds for every finite loss, and
-    # (earlier - loss >= tol) fails for an inf or nan loss.
-    trace = np.empty((len(seeds), PLATEAU_WINDOW + config.max_epochs))
-    trace[:, :PLATEAU_WINDOW] = np.inf
+    cap = PLATEAU_WINDOW + config.max_epochs
+    # trace[PLATEAU_WINDOW + e, k] is the loss of live replica k before epoch
+    # e's update. The first PLATEAU_WINDOW rows hold +inf, so one test covers
+    # both stop rules from epoch 0: inf - loss >= tol holds for every finite
+    # loss, and (earlier - loss >= tol) fails for an inf or nan loss.
+    trace = np.empty((min(PLATEAU_WINDOW + _TRACE_BLOCK, cap), len(seeds)))
+    trace[:PLATEAU_WINDOW] = np.inf
 
     def finish(k, epochs):
         results[live[k]] = (
-            WeightSet(w1[k].copy(), b1[k].copy(), w2[k].copy(), b2[k]),
-            trace[live[k], PLATEAU_WINDOW:PLATEAU_WINDOW + epochs],
+            WeightSet(ws.w1[k].copy(), ws.b1[k].copy(), ws.w2[k].copy(), ws.b2[k]),
+            trace[PLATEAU_WINDOW:PLATEAU_WINDOW + epochs, k].copy(),
         )
 
     # overflow here is the divergence signal, caught via the finiteness test
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.max_epochs):
-            hidden, out = _forward(X, w1, b1, w2, b2)
-            err = out - y
-            # a per-replica dot product: einsum can differ in the last ulp,
-            # which could move a plateau stop
-            loss = np.matmul(err[:, None, :], err[:, :, None])[:, 0, 0] / n
-            trace[live, PLATEAU_WINDOW + epoch] = loss
-            going = trace[live, epoch] - loss >= tol
-            if not going.all():
+            if PLATEAU_WINDOW + epoch == trace.shape[0]:
+                trace = _grown(trace, cap)
+            _forward(X, ws)
+            _loss(ws, y)
+            trace[PLATEAU_WINDOW + epoch] = ws.loss
+            np.subtract(trace[epoch], ws.loss, out=ws.gain)
+            # one reduction decides the common case; a nan gain fails it too
+            if not np.minimum.reduce(ws.gain) >= tol:
+                going = ws.gain >= tol
                 for k in np.flatnonzero(~going):
-                    if np.isfinite(loss[k]):
+                    if np.isfinite(ws.loss[k]):
                         finish(k, epoch + 1)
                     else:
                         results[live[k]] = TrainingDivergedError(epoch, seeds[live[k]])
                 if not going.any():
                     break
                 live = live[going]
-                w1, b1, w2, b2 = w1[going], b1[going], w2[going], b2[going]
-                hidden, out, err = hidden[going], out[going], err[going]
-            g_w1, g_b1, g_w2, g_b2 = _gradients(X, hidden, out, err, w2)
-            w1 -= lr * g_w1
-            b1 -= lr * g_b1
-            w2 -= lr * g_w2
-            b2 -= lr * g_b2
+                trace = trace[:PLATEAU_WINDOW + epoch + 1, going]
+                ws = ws.keep(going)
+            _gradients(X, ws)
+            np.multiply(ws.grads, lr, out=ws.grads)
+            np.subtract(ws.params, ws.grads, out=ws.params)
         else:
             for k in range(live.size):
                 finish(k, config.max_epochs)
     return results
-
 
 def train_one(X, y, topology: Topology, config: TrainingConfig, seed: int):
     """Full-batch gradient descent from one seed: the one-replica ensemble.

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hra_forge import ann
 from hra_forge.ann import (
     PLATEAU_WINDOW,
     Topology,
@@ -339,6 +340,38 @@ class TestEnsemble:
             assert member.weights.b_output == weights.b_output
             assert member.final_loss == trace[-1]
 
+    def test_training_buffers_do_not_leak(self, monkeypatch):
+        # training works in place; what it returns must own its memory
+        made = []
+
+        class RecordingWorkspace(ann._Workspace):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(ann, "_Workspace", RecordingWorkspace)
+        rng = np.random.default_rng(3)
+        X = rng.uniform(0, 1, (7, 3))
+        y = rng.uniform(0.1, 0.9, 7)
+        X_before, y_before = X.copy(), y.copy()
+        cfg = TrainingConfig(seed=1, max_epochs=400, learning_rate=1.0,
+                             loss_tolerance=1e-3, n_replications=4)
+        active = PSF_ORDER[:3]
+        pred = train_replicated(X, y, cfg, active, {p: 1.0 for p in active})
+        one, _ = train_one(X, y, pred.topology, cfg, 9)
+        assert np.array_equal(X, X_before) and np.array_equal(y, y_before)
+        # three members stopped early, at three epochs: three rebuilds
+        assert len(made) == 5
+        weights = [m.weights for m in pred.members] + [one]
+        arrays = [a for w in weights for a in (w.w_hidden, w.b_hidden, w.w_output)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        buffers = [v for ws in made for v in vars(ws).values() if isinstance(v, np.ndarray)]
+        for a in arrays:
+            for b in buffers:
+                assert not np.shares_memory(a, b)
+
     def test_predict_rejects_wrong_input_width(self):
         active = PSF_ORDER[:3]
         member = EnsembleMember(1, init_weights(Topology(3, 2), 1), 0.0)
@@ -403,6 +436,24 @@ class TestBatchedMatchesSerial:
         lengths = assert_matches_serial(X, y, Topology(2, 3), cfg)
         assert set(lengths.values()) == {None}
 
+    def test_epoch_cap_far_above_the_epochs_run(self):
+        # the trace grows with the epochs run: a cap of 10**12 epochs would
+        # need terabytes up front, and these stops cross several doublings
+        rng = np.random.default_rng(0)
+        X = rng.uniform(0, 1, (6, 3))
+        y = rng.uniform(0.1, 0.9, 6)
+        topology = Topology(3, 3)
+        cfg = TrainingConfig(seed=1, max_epochs=10**12, learning_rate=1.0,
+                             loss_tolerance=1e-4, n_replications=4)
+        seeds = [1, 2, 3, 4]
+        lengths = []
+        for seed, (weights, trace) in zip(seeds, ann._train_seeds(X, y, topology, cfg, seeds)):
+            expected_weights, expected_trace = serial_train_one(X, y, topology, cfg, seed)
+            assert_same_weights(weights, expected_weights)
+            assert trace.tolist() == expected_trace
+            lengths.append(len(trace))
+        assert sorted(lengths) == [2024, 4809, 6207, 7065]
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
@@ -445,6 +496,25 @@ class TestSerialization:
         lines[3] = "maxima " + values
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(InputError, match=r"net\.txt: "):
+            load_predictor(path)
+
+    def test_member_weights_must_match_topology(self, tmp_path):
+        rng = np.random.default_rng(2)
+        active = PSF_ORDER[:3]
+        pred = train_replicated(
+            rng.uniform(0, 1, (5, 3)), rng.uniform(0.1, 0.9, 5),
+            TrainingConfig(max_epochs=50, n_replications=2), active,
+            {p: 1.0 for p in active},
+        )
+        with pytest.raises(InputError, match="has weights for 3 inputs and 3 hidden units, "
+                                             "topology is 3 inputs and 4 hidden units"):
+            replace(pred, topology=Topology(3, 4))
+        path = tmp_path / "net.txt"
+        save_predictor(pred, path)
+        lines = [" ".join(line.split()[:-1]) if line.startswith("wh ") else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=r"net\.txt: member 1 has weights for 2 inputs"):
             load_predictor(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -85,6 +85,13 @@ class TestTrainCommand:
         pred = load_predictor(out)
         assert len(pred.members) == 3
 
+    def test_epoch_cap_far_above_the_epochs_run(self, tmp_path, capsys):
+        # the loss trace follows the epochs run, not the cap
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs=1000000000000\nreplications=2\n")
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert "ensemble mse" in capsys.readouterr().out
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epohcs=10\n")

@@ -30,7 +30,7 @@ _OBS_COLUMNS = tuple(["id"] + [p.column for p in PSF_ORDER] + ["hep"])
 _OBS_COLUMNS_TRIALS = _OBS_COLUMNS + ("trials",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """One observed work instance: raw PSF multipliers and the measured HEP."""
 
@@ -114,12 +114,12 @@ class ObservationSet:
             _trusted(
                 Instance,
                 id=i,
-                psfs=_trusted(PsfVector, values=dict(zip(PSF_ORDER, row))),
+                psfs=_trusted(PsfVector, multipliers=row),
                 observed_hep=_trusted(Probability, value=h),
                 trials=t,
             )
             for i, row, h, t in zip(
-                self.ids, self.psfs.tolist(), self.hep.tolist(), self.trials
+                self.ids, map(tuple, self.psfs.tolist()), self.hep.tolist(), self.trials
             )
         )
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import InputError, UnknownLevelError
@@ -60,12 +61,19 @@ class PsfId(enum.Enum):
     def __repr__(self):
         return f"PsfId.{self.name}"
 
+    # members are singletons compared by identity, so the C-level identity
+    # hash is consistent with equality and skips Enum's Python-level hash
+    __hash__ = object.__hash__
+
 
 #: All eight PSFs in letter order A..H.
 PSF_ORDER: tuple[PsfId, ...] = tuple(PsfId)
 
 assert len(PSF_ORDER) == 8
 assert [p.letter for p in PSF_ORDER] == list("ABCDEFGH")
+
+# position of each PSF in PSF_ORDER
+_POSITION: dict[PsfId, int] = {psf: i for i, psf in enumerate(PSF_ORDER)}
 
 
 class Mode(enum.Enum):
@@ -97,7 +105,7 @@ class _FailureCertain:
 FAILURE_CERTAIN = _FailureCertain()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Probability:
     """A real number in [0, 1], validated at construction."""
 
@@ -131,14 +139,18 @@ class ErrorTally:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PsfVector:
-    """One multiplier per PSF; all eight present, every value positive."""
+    """One multiplier per PSF; all eight present, every value positive.
 
-    values: Mapping[PsfId, float]
+    Built from a mapping of every PSF to its multiplier, and stored as one
+    tuple in ``PSF_ORDER``, so equal vectors compare and hash equal.
+    """
 
-    def __post_init__(self):
-        vals = dict(self.values)
+    multipliers: tuple[float, ...]
+
+    def __init__(self, values: Mapping[PsfId, float]):
+        vals = dict(values)
         missing = [p.letter for p in PSF_ORDER if p not in vals]
         if missing:
             raise InputError(f"PSF vector missing factors: {', '.join(missing)}")
@@ -150,14 +162,19 @@ class PsfVector:
                 raise InputError(
                     f"multiplier for {psf.name} must be a positive real, got {v!r}"
                 )
-        object.__setattr__(self, "values", {p: float(vals[p]) for p in PSF_ORDER})
+        object.__setattr__(self, "multipliers", tuple(float(vals[p]) for p in PSF_ORDER))
+
+    @property
+    def values(self) -> Mapping[PsfId, float]:
+        """A read-only mapping of each PSF to its multiplier, in ``PSF_ORDER``."""
+        return MappingProxyType(dict(zip(PSF_ORDER, self.multipliers)))
 
     def __getitem__(self, psf: PsfId) -> float:
-        return self.values[psf]
+        return self.multipliers[_POSITION[psf]]
 
     def as_tuple(self) -> tuple[float, ...]:
         """Values in letter order A..H."""
-        return tuple(self.values[p] for p in PSF_ORDER)
+        return self.multipliers
 
     @classmethod
     def from_sequence(cls, seq: Sequence[float]) -> "PsfVector":
@@ -267,6 +284,8 @@ def parse_multiplier_config(text: str) -> dict[PsfId, MultiplierTable]:
     to the field names is permitted and skipped. Blank lines are ignored.
     """
     grouped: dict[PsfId, list[MultiplierRow]] = {}
+    # not ioutil.csv_rows: it drops blank lines, so its rows lose the
+    # physical line numbers these messages give
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line == _CONFIG_HEADER:

@@ -297,6 +297,26 @@ class TestPipelineCommand:
         assert code_a == code_b == 0
         assert tree_bytes(dir_a) == tree_bytes(dir_b)
 
+    def test_byte_identical_across_interpreters(self, tmp_path):
+        # PsfId hashes by identity, so a set of them iterates in an order
+        # that depends on memory addresses; string hashing depends on the
+        # hash seed. Neither may reach the result tree.
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(FAST_CONFIG)
+        src = str(Path(hra_forge.__file__).resolve().parents[1])
+        trees = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"seed{hash_seed}"
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "hra_forge.cli", "pipeline",
+                 "--config", str(cfg), "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            trees.append(tree_bytes(out))
+        assert trees[0] and trees[0] == trees[1]
+
     def test_exit_3_at_iteration_cap(self, tmp_path, capsys):
         code, out = self.run_pipeline(tmp_path, "capped", ["--max-iterations", "1"])
         capsys.readouterr()

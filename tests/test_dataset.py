@@ -280,6 +280,34 @@ class TestObservationSetColumns:
         assert obs.instances is obs.instances
         assert list(obs) == list(obs.instances)
 
+    def test_instances_match_validated_construction(self):
+        obs = replace(bundled_table2(), trials=(None,) * 14 + (7,))
+        for i, inst in enumerate(obs.instances):
+            built = Instance(
+                obs.ids[i],
+                PsfVector(dict(zip(PSF_ORDER, obs.psfs[i].tolist()))),
+                Probability(float(obs.hep[i])),
+                obs.trials[i],
+            )
+            assert inst == built and hash(inst) == hash(built)
+            assert hash(inst.psfs) == hash(built.psfs)
+        assert len(set(obs.instances)) == len(obs)
+
+    def test_instances_cannot_be_changed(self):
+        obs = bundled_table2()
+        inst = obs.instances[0]
+        for value in (99.0, -1.0):
+            with pytest.raises(TypeError):
+                inst.psfs.values[PsfId.Stress] = value
+        assert inst.psfs[PsfId.Stress] == obs.psfs[0, 1] == 2.0
+        with pytest.raises(AttributeError):
+            inst.trials = 3
+
+    def test_instances_have_no_per_object_dict(self):
+        inst = bundled_table2().instances[0]
+        for obj in (inst, inst.psfs, inst.observed_hep):
+            assert not hasattr(obj, "__dict__")
+
     @pytest.mark.parametrize(
         "change, message",
         [

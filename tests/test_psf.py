@@ -1,5 +1,6 @@
 """Probability algebra, multiplier lookup, and normalization."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,37 @@ class TestTotalImpact:
     def test_positive_required(self):
         with pytest.raises(InputError):
             PsfVector.from_sequence([0.0, 1, 1, 1, 1, 1, 1, 1])
+
+
+class TestPsfVector:
+    def test_stored_in_psf_order(self):
+        v = PsfVector(dict(zip(reversed(PSF_ORDER), (8, 7, 6, 5, 4, 3, 2, 1))))
+        assert v.as_tuple() == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
+        assert all(type(x) is float for x in v.as_tuple())
+        assert [v[p] for p in PSF_ORDER] == list(v.as_tuple())
+        assert list(v.values.items()) == list(zip(PSF_ORDER, v.as_tuple()))
+        with pytest.raises(KeyError):
+            v["A"]
+
+    @pytest.mark.parametrize("value", [99.0, -1.0])
+    def test_values_view_is_read_only(self, value):
+        v = PsfVector.from_sequence([1.0] * 8)
+        with pytest.raises(TypeError):
+            v.values[PsfId.Stress] = value
+        with pytest.raises(AttributeError):
+            v.multipliers = (value,) * 8
+        assert v[PsfId.Stress] == 1.0 and v.as_tuple() == (1.0,) * 8
+
+    def test_equal_vectors_hash_equal(self):
+        a = PsfVector.from_sequence([10, 5, 5, 3, 0.1, 1, 1, 1])
+        b = PsfVector(dict(zip(PSF_ORDER, (10.0, 5.0, 5.0, 3.0, 0.1, 1.0, 1.0, 1.0))))
+        assert a == b and hash(a) == hash(b)
+        assert a != PsfVector.from_sequence([10, 5, 5, 3, 0.1, 1, 1, 2])
+        assert len({a, b}) == 1
+
+    def test_psf_id_hashes_by_identity(self):
+        assert all(hash(p) == object.__hash__(p) for p in PSF_ORDER)
+        assert {p: p.letter for p in PSF_ORDER}[PsfId.Stress] == "B"
 
 
 class TestProbability:
@@ -240,6 +272,25 @@ class TestConfigRoundtrip:
     def test_bad_multiplier_token(self):
         with pytest.raises(InputError):
             parse_multiplier_config("A,Weird,abc,1\n")
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("B,High,2", "multiplier config line 4: expected 4 comma-separated fields"),
+            ("B,High,two,2", "multiplier config line 4: expected a number or FAIL, got 'two'"),
+        ],
+        ids=["short-row", "non-numeric"],
+    )
+    def test_messages_count_physical_lines(self, bad, message):
+        # the header (line 1) and the blank line (line 3) both count
+        text = (
+            "psf_letter,level_label,action_multiplier,diagnosis_multiplier\n"
+            "B,Extreme,5,5\n"
+            "\n"
+            f"{bad}\n"
+        )
+        with pytest.raises(InputError, match="^" + re.escape(message)):
+            parse_multiplier_config(text)
 
 
 def observation_set(rows) -> ObservationSet:

@@ -73,14 +73,15 @@ def cmd_quantify(args) -> int:
     tally = _parse_tally(args.tally)
     nominal = nominal_hep(tally)
     vector = resolve_levels(tables, assignments, mode)
+    # everything is computed before the first print, so a failing run writes
+    # nothing to stdout
+    total, composite = "FAILURE_CERTAIN", "1"
+    if vector is not FAILURE_CERTAIN:
+        impact = total_psf_impact(vector)
+        total, composite = fmt_full(impact), fmt_full(float(composite_hep(nominal, impact)))
     print(f"nominal_hep = {fmt_full(float(nominal))}")
-    if vector is FAILURE_CERTAIN:
-        print("psf_total = FAILURE_CERTAIN")
-        print("composite_hep = 1")
-        return EXIT_OK
-    total = total_psf_impact(vector)
-    print(f"psf_total = {fmt_full(total)}")
-    print(f"composite_hep = {fmt_full(float(composite_hep(nominal, total)))}")
+    print(f"psf_total = {total}")
+    print(f"composite_hep = {composite}")
     return EXIT_OK
 
 

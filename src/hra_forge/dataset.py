@@ -8,6 +8,12 @@ Two CSV shapes are understood:
   are a subset of A..H in alphabetical order (the bundled design uses all
   eight; reduced designs produced after factor elimination use fewer).
 
+An observation file is checked in one pass over its columns. The error names
+the earliest faulty row and, within it, the first failed rule of: the cell
+count; each PSF cell, then hep, is a number; hep is in [0, 1]; trials is empty
+or an integer; each multiplier is finite and > 0; trials >= 1. Duplicate ids
+are reported only when no row is faulty.
+
 The bundled fixtures are the 15-instance case study and the 60-run
 eight-factor screening design; ``ioutil`` checks their digests at load.
 """
@@ -189,74 +195,77 @@ def load_observations(source) -> ObservationSet:
 
     Errors name the file (for a path), row and column. Row order is preserved.
     """
-    return _slurp(source, _parse_observations)
+    return _slurp(source, _parse_observation_columns)
 
 
-def _parse_observations(text: str) -> ObservationSet:
+def _parse_observation_columns(text: str) -> ObservationSet:
+    """Observations parsed column by column with Python ``float``. Each row rule
+    of the module docstring runs, in order, on the rows before the earliest
+    fault found so far, so the fault raised at the end is the first one."""
     lines = csv_lines(text)
     if not lines:
         raise InputError("observations file is empty (expected a header row)")
     header = tuple(cell.strip() for cell in lines[0].split(","))
     if header not in (_OBS_COLUMNS, _OBS_COLUMNS_TRIALS):
         raise InputError(
-            "unknown observations header: expected "
-            + ",".join(_OBS_COLUMNS)
-            + " (optionally with a trailing trials column), got "
-            + ",".join(header)
+            f"unknown observations header: expected {','.join(_OBS_COLUMNS)} (optionally "
+            f"with a trailing trials column), got {','.join(header)}"
         )
     body, width = lines[1:], len(header)
-    try:
-        return _parse_observation_columns(body, width)
-    except (ValueError, InputError):
-        # name the first bad row and column; when every row passes, the
-        # fault is a duplicate id, which the set's own message names
-        for rowno, cells in enumerate(csv_rows(text)[1:], start=1):
-            _check_observation_row(rowno, cells, width)
-        raise
-
-
-def _parse_observation_columns(body: list[str], width: int) -> ObservationSet:
-    """The rows' cells parsed column by column with Python ``float``.
-
-    Raises ValueError or InputError when any row is malformed, without
-    naming the first bad row; ``_check_observation_row`` names it.
-    """
-    if any(raw.count(",") != width - 1 for raw in body):
-        raise ValueError("rows differ in length")
-    cells = ",".join(body).split(",") if body else []
+    n = next((i for i, raw in enumerate(body) if raw.count(",") != width - 1), len(body))
+    fault = n < len(body) and f"row {n + 1}: expected {width} cells, got {body[n].count(',') + 1}"
+    cells = ",".join(body[:n]).split(",") if n else []
     # one column's floats at a time bounds the peak memory of a large file
-    numbers = np.empty((9, len(body)))
-    for j in range(9):
-        numbers[j] = list(map(float, cells[j + 1::width]))
-    trials = (None,) * len(body)
+    numbers = np.empty((9, n))
+    for j, name in enumerate(_OBS_COLUMNS[1:10]):
+        try:
+            numbers[j, :n] = list(map(float, cells[j + 1 : n * width : width]))
+        except ValueError:
+            values, fault = _parse_cells(cells[j + 1 : n * width : width], parse_float, name)
+            n = len(values)
+            numbers[j, :n] = values
+    hep_ok = (numbers[8, :n] >= 0.0) & (numbers[8, :n] <= 1.0)
+    if not hep_ok.all():
+        n = int(np.argmin(hep_ok))
+        fault = f"row {n + 1}: hep {float(numbers[8, n])} outside [0, 1]"
+    trials = [None] * n
     if width > 10:
-        trials = tuple(
-            None if cell == "" else parse_int(cell, rowno, "trials")
-            for rowno, cell in enumerate(map(str.strip, cells[10::width]), start=1)
+        trials, fault = _parse_cells(cells[10 : n * width : width], _parse_trials, "trials", fault)
+        n = len(trials)
+    psf_ok = (numbers[:8, :n] > 0.0) & (numbers[:8, :n] < math.inf)
+    if not psf_ok.all():
+        n = int(np.argmin(psf_ok.all(axis=0)))
+        j = int(np.argmin(psf_ok[:, n]))
+        fault = (
+            f"row {n + 1}: multiplier for {PSF_ORDER[j].name} must be a positive real, "
+            f"got {float(numbers[j, n])!r}"
         )
-    return ObservationSet(
-        tuple(map(str.strip, cells[0::width])), numbers[:8].T, numbers[8], trials
-    )
+    low = next((i for i, t in zip(range(n), trials) if t is not None and t < 1), n)
+    if low < n:
+        fault = (
+            f"row {low + 1}: instance {cells[low * width].strip()!r}: "
+            f"trials must be >= 1, got {trials[low]}"
+        )
+    if fault:
+        raise InputError(fault)
+    ids = tuple(map(str.strip, cells[0::width]))
+    return ObservationSet(ids, numbers[:8].T, numbers[8], trials)
 
 
-def _check_observation_row(rowno: int, cells: list[str], width: int) -> None:
-    """Raise the InputError for the first fault in one observation row."""
-    if len(cells) != width:
-        raise InputError(f"row {rowno}: expected {width} cells, got {len(cells)}")
-    values = {
-        psf: parse_float(cells[1 + i], rowno, psf.column)
-        for i, psf in enumerate(PSF_ORDER)
-    }
-    hep_cell = parse_float(cells[9], rowno, "hep")
-    if not 0.0 <= hep_cell <= 1.0:
-        raise InputError(f"row {rowno}: hep {hep_cell} outside [0, 1]")
-    trials = None
-    if width > 10 and cells[10] != "":
-        trials = parse_int(cells[10], rowno, "trials")
-    try:
-        Instance(cells[0], PsfVector(values), Probability(hep_cell), trials)
-    except InputError as exc:
-        raise InputError(f"row {rowno}: {exc}") from None
+def _parse_cells(cells: list[str], parse, column: str, fault=None) -> tuple[list, Optional[str]]:
+    """Each stripped cell's ``parse(cell, rowno, column)`` up to the first that
+    raises InputError, and that error's message (``fault`` if none raises)."""
+    values = []
+    for rowno, cell in enumerate(map(str.strip, cells), start=1):
+        try:
+            values.append(parse(cell, rowno, column))
+        except InputError as exc:
+            return values, str(exc)
+    return values, fault
+
+
+def _parse_trials(cell: str, rowno: int, column: str) -> Optional[int]:
+    return None if cell == "" else parse_int(cell, rowno, column)
 
 
 def save_observations(obs: ObservationSet, sink) -> None:

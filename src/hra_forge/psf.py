@@ -241,7 +241,10 @@ def composite_hep(nominal, psf_total: float) -> Probability:
     if not 0.0 <= n <= 1.0:
         raise InputError(f"nominal HEP must be in [0, 1], got {n}")
     if not (math.isfinite(psf_total) and psf_total > 0):
-        raise InputError(f"total PSF impact must be > 0, got {psf_total}")
+        raise InputError(
+            "total PSF impact (the product of the multipliers) is not a finite "
+            f"positive number: {psf_total}"
+        )
     # denominator written as numerator plus a nonnegative term so rounding
     # can never push the ratio above 1 (n*(t-1)+1 cancels badly for tiny t)
     num = n * psf_total

@@ -64,6 +64,22 @@ class TestQuantify:
         assert code == 2
         assert "Never heard of it" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "psfs, total",
+        [(["A=1e308", "B=10"], "inf"), (["A=1e-200", "B=1e-200"], "0.0")],
+    )
+    def test_impact_out_of_range_exit_2(self, capsys, psfs, total):
+        argv = ["quantify", "--tally", "1/2"]
+        for assignment in psfs:
+            argv += ["--psf", assignment]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: total PSF impact (the product of the multipliers) is not a "
+            f"finite positive number: {total}\n"
+        )
+
     def test_bad_tally_exit_2(self, capsys):
         assert main(["quantify", "--tally", "10-20"]) == 2
         assert main(["quantify", "--tally", "30/20"]) == 2

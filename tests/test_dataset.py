@@ -1,8 +1,10 @@
 """Observation and design files, plus the bundled fixtures."""
 import io
+import itertools
 import math
 import re
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -210,12 +212,52 @@ OBSERVATION_EDGE_CASES = {
     "short row before a bad cell": _trials_text((3, 1, "z"), (2, 4, None)),
     "zero psf before a non-numeric one": _trials_text((1, 0, "0"), (1, 7, "q")),
     "bad trials before a zero psf": _trials_text((1, 9, "2.5"), (1, 1, "0")),
+    "hep out of range before bad trials": _trials_text((1, 8, "nan"), (1, 9, "abc")),
     "duplicate ids": OBS_HEADER + "\nB,1,1,1,1,1,1,1,1,0.5\nA,1,1,1,1,1,1,1,1,0.5\n"
     + "B,1,1,1,1,1,1,1,1,0.5\nA,1,1,1,1,1,1,1,1,0.5\n",
     "duplicate ids and a bad row": OBS_HEADER + "\nI1,1,1,1,1,1,1,1,1,0.5\n"
     + "I1,1,1,1,1,1,1,1,1,0.5\nI2,1,1,1,1,1,1,1,1,7\n",
     "no rows": OBS_HEADER + "\n",
 }
+
+
+_BAD_CELLS = ["abc", "", "nan", "inf", "1e400", "0", "-0", "-2.5", "1.5", "7.0"]
+
+
+@st.composite
+def faulty_observation_csv(draw):
+    """Up to three valid rows, with or without trials, given 1-3 faults.
+
+    A fault is a cell from ``_BAD_CELLS`` in a PSF, the hep or the trials
+    column, a short row, a long row or an id repeated from another row. Hep
+    and trials each take a third of the bad cells, so that faults of
+    neighbouring rule ranks often share a row.
+    """
+    width = draw(st.sampled_from([10, 11]))
+    rows = [
+        [f"I{r}"] + _GOOD_CELLS[: width - 1]
+        for r in range(1, draw(st.integers(1, 3)) + 1)
+    ]
+    fields = ["psf", "hep", "trials"][: width - 8]
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["cell", "cell", "cell", "short", "long", "id"]))
+        if kind == "cell":
+            field = draw(st.sampled_from(fields))
+            column = {"hep": 9, "trials": 10}.get(field) or draw(st.integers(1, 8))
+            if column < len(row):
+                row[column] = draw(st.sampled_from(_BAD_CELLS))
+        elif kind == "short":
+            del row[draw(st.integers(2, width - 1)) :]
+        elif kind == "long":
+            row += ["9"] * draw(st.integers(1, 2))
+        else:
+            row[0] = draw(st.sampled_from(rows))[0]
+    header = OBS_HEADER + (",trials" if width == 11 else "")
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+FAULTY = settings(max_examples=1000, derandomize=True, deadline=None, database=None)
 
 
 class TestColumnarLoaderMatchesLegacy:
@@ -253,6 +295,64 @@ class TestColumnarLoaderMatchesLegacy:
         # one counting pass; a list.count scan per id takes tens of seconds
         # at this size
         assert time.perf_counter() - t0 < 5.0
+
+
+class TestFaultyObservationFiles:
+    @FAULTY
+    @given(faulty_observation_csv())
+    def test_faulty_files(self, text):
+        assert _outcome(_columnar_instances, text) == _outcome(
+            legacy_load_observations, text
+        )
+
+    @pytest.mark.parametrize("width", [10, 11])
+    def test_every_two_bad_cells(self, width):
+        """Every two bad cells of the pool, in one row or in rows 1 and 2."""
+        header = OBS_HEADER + (",trials" if width == 11 else "")
+        faults = itertools.product(range(1, width), _BAD_CELLS)
+        for (a, x), (b, y) in itertools.permutations(faults, 2):
+            for same_row in (False, True) if a < b else (False,):
+                rows = [[f"I{r}"] + _GOOD_CELLS[: width - 1] for r in (1, 2)]
+                rows[0][a] = x
+                rows[0 if same_row else 1][b] = y
+                text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+                assert _outcome(_columnar_instances, text) == _outcome(
+                    legacy_load_observations, text
+                ), text
+
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            (2, "abc", "column 'stress' is not numeric: 'abc'"),
+            (9, "1.5", "hep 1.5 outside [0, 1]"),
+            (10, "0", "instance 'T039989': trials must be >= 1, got 0"),
+        ],
+    )
+    def test_faulty_load_builds_no_row_objects(self, monkeypatch, column, cell, message):
+        built = Counter()
+        for cls, method in [
+            (PsfVector, "__init__"),
+            (Probability, "__post_init__"),
+            (Instance, "__post_init__"),
+        ]:
+            real = getattr(cls, method)
+
+            def counted(self, *args, _real=real, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counted)
+        lines = [OBS_HEADER + ",trials"]
+        lines += [",".join([f"T{i:06d}"] + _GOOD_CELLS) for i in range(40_000)]
+        bad = lines[39_990].split(",")
+        bad[column] = cell
+        lines[39_990] = ",".join(bad)
+        with pytest.raises(InputError) as err:
+            load_observations("\n".join(lines) + "\n")
+        assert str(err.value) == f"row 39990: {message}"
+        assert not built
+        PsfVector(dict.fromkeys(PSF_ORDER, 1.0))
+        assert built == {"PsfVector": 1}
 
 
 class TestObservationSetColumns:

@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,12 +52,18 @@ class Instance:
             )
 
 
-def _trusted(cls, **fields):
-    """A frozen dataclass value whose fields were validated elsewhere."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+# The slot setters of the three row value objects, bound once. Iterating an
+# ObservationSet builds each row's objects with object.__new__ and one setter
+# call per field: the set checked its columns when it was built.
+_SET_ID, _SET_PSFS, _SET_HEP, _SET_TRIALS = (
+    Instance.__dict__[name].__set__ for name in ("id", "psfs", "observed_hep", "trials")
+)
+_SET_MULTIPLIERS = PsfVector.__dict__["multipliers"].__set__
+_SET_VALUE = Probability.__dict__["value"].__set__
+
+# Rows converted from the columns at a time while iterating: a whole-set
+# conversion would hold every multiplier as a Python float at once.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +74,10 @@ class ObservationSet:
     ``PSF_ORDER``, ``hep`` the observed HEPs and ``trials`` one trial count
     (or None) per row. Every PSF is finite and > 0, every HEP in [0, 1],
     every trial count >= 1 and every id unique. The arrays are read-only.
+
+    Iterating the set yields a fresh ``Instance`` per row and caches nothing:
+    two passes yield equal but not identical instances. ``instances`` is the
+    cached tuple of them.
     """
 
     ids: tuple[str, ...]
@@ -115,25 +125,34 @@ class ObservationSet:
 
     @cached_property
     def instances(self) -> tuple[Instance, ...]:
-        """One Instance per row, built on first use from the checked columns."""
-        return tuple(
-            _trusted(
-                Instance,
-                id=i,
-                psfs=_trusted(PsfVector, multipliers=row),
-                observed_hep=_trusted(Probability, value=h),
-                trials=t,
-            )
-            for i, row, h, t in zip(
-                self.ids, map(tuple, self.psfs.tolist()), self.hep.tolist(), self.trials
-            )
-        )
+        """One Instance per row, built on first use and kept."""
+        return tuple(self)
 
     def __len__(self):
         return len(self.ids)
 
-    def __iter__(self):
-        return iter(self.instances)
+    def __iter__(self) -> Iterator[Instance]:
+        """A fresh Instance per row, built from the checked columns; nothing is
+        kept, so a loop that drops each row holds one row's objects at a time."""
+        new = object.__new__
+        for start in range(0, len(self.ids), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            for i, multipliers, h, t in zip(
+                self.ids[rows],
+                zip(*self.psfs[rows].T.tolist()),
+                self.hep[rows].tolist(),
+                self.trials[rows],
+            ):
+                psfs = new(PsfVector)
+                _SET_MULTIPLIERS(psfs, multipliers)
+                hep = new(Probability)
+                _SET_VALUE(hep, h)
+                inst = new(Instance)
+                _SET_ID(inst, i)
+                _SET_PSFS(inst, psfs)
+                _SET_HEP(inst, hep)
+                _SET_TRIALS(inst, t)
+                yield inst
 
     def matrix(self, active: Sequence[PsfId]):
         """Raw multiplier matrix restricted to the given PSFs, row per instance."""

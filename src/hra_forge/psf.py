@@ -105,38 +105,55 @@ class _FailureCertain:
 FAILURE_CERTAIN = _FailureCertain()
 
 
-@dataclass(frozen=True, slots=True)
+def _finite(x) -> bool:
+    """``math.isfinite``, but False for an int too large for a float, where
+    ``math.isfinite`` raises OverflowError."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Probability:
     """A real number in [0, 1], validated at construction."""
 
     value: float
 
-    def __post_init__(self):
-        v = self.value
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
-            raise InputError(f"probability must be in [0, 1], got {v!r}")
-        object.__setattr__(self, "value", float(v))
+    def __init__(self, value: float):
+        # the range test alone rejects nan and +-inf, and compares an int too
+        # large for a float exactly
+        if not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+            raise InputError(f"probability must be in [0, 1], got {value!r}")
+        _set_probability(self, float(value))
 
     def __float__(self):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ErrorTally:
     """Occurred versus potential error counts for one task."""
 
     occurred: int
     potential: int
 
-    def __post_init__(self):
-        if not (isinstance(self.occurred, int) and isinstance(self.potential, int)):
+    def __init__(self, occurred: int, potential: int):
+        if not (isinstance(occurred, int) and isinstance(potential, int)):
             raise InputError("error tally counts must be integers")
-        if self.potential < 1:
-            raise InputError(f"potential error count must be >= 1, got {self.potential}")
-        if not 0 <= self.occurred <= self.potential:
-            raise InputError(
-                f"occurred count {self.occurred} must be in [0, {self.potential}]"
-            )
+        if potential < 1:
+            raise InputError(f"potential error count must be >= 1, got {potential}")
+        if not 0 <= occurred <= potential:
+            raise InputError(f"occurred count {occurred} must be in [0, {potential}]")
+        _set_occurred(self, occurred)
+        _set_potential(self, potential)
+
+
+# The slot setters, bound once: each constructor writes each slot once, past
+# the frozen __setattr__, after its checks.
+_set_probability = Probability.__dict__["value"].__set__
+_set_occurred = ErrorTally.__dict__["occurred"].__set__
+_set_potential = ErrorTally.__dict__["potential"].__set__
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -158,7 +175,7 @@ class PsfVector:
         if extra:
             raise InputError(f"PSF vector has unknown keys: {extra}")
         for psf, v in vals.items():
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, (int, float)) and _finite(v) and v > 0):
                 raise InputError(
                     f"multiplier for {psf.name} must be a positive real, got {v!r}"
                 )
@@ -196,7 +213,7 @@ class MultiplierRow:
             v = getattr(self, field)
             if v is FAILURE_CERTAIN:
                 continue
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (isinstance(v, (int, float)) and _finite(v) and v > 0):
                 raise InputError(
                     f"{field} multiplier for level {self.label!r} must be a "
                     f"positive real or the FAIL sentinel, got {v!r}"
@@ -240,7 +257,7 @@ def composite_hep(nominal, psf_total: float) -> Probability:
     n = float(nominal)
     if not 0.0 <= n <= 1.0:
         raise InputError(f"nominal HEP must be in [0, 1], got {n}")
-    if not (math.isfinite(psf_total) and psf_total > 0):
+    if not (_finite(psf_total) and psf_total > 0):
         raise InputError(
             "total PSF impact (the product of the multipliers) is not a finite "
             f"positive number: {psf_total}"

@@ -4,6 +4,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hra_forge import dataset
 from hra_forge.dataset import (
     DesignRow,
     Instance,
@@ -332,7 +334,7 @@ class TestFaultyObservationFiles:
         built = Counter()
         for cls, method in [
             (PsfVector, "__init__"),
-            (Probability, "__post_init__"),
+            (Probability, "__init__"),
             (Instance, "__post_init__"),
         ]:
             real = getattr(cls, method)
@@ -382,7 +384,7 @@ class TestObservationSetColumns:
 
     def test_instances_match_validated_construction(self):
         obs = replace(bundled_table2(), trials=(None,) * 14 + (7,))
-        for i, inst in enumerate(obs.instances):
+        for i, inst in enumerate(obs):
             built = Instance(
                 obs.ids[i],
                 PsfVector(dict(zip(PSF_ORDER, obs.psfs[i].tolist()))),
@@ -391,7 +393,62 @@ class TestObservationSetColumns:
             )
             assert inst == built and hash(inst) == hash(built)
             assert hash(inst.psfs) == hash(built.psfs)
+            assert hash(inst.observed_hep) == hash(built.observed_hep)
         assert len(set(obs.instances)) == len(obs)
+
+    def test_iteration_streams_fresh_instances(self):
+        obs = bundled_table2()
+        first, second = list(obs), list(obs)
+        assert "instances" not in vars(obs)
+        assert first == second
+        assert all(a is not b for a, b in zip(first, second))
+        assert first == list(obs.instances)
+        assert "instances" in vars(obs)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, dataset._BLOCK_ROWS + 1])
+    def test_iteration_across_row_blocks(self, extra):
+        n = dataset._BLOCK_ROWS + extra
+        rng = np.random.default_rng(n)
+        obs = ObservationSet(
+            tuple(f"T{i}" for i in range(n)),
+            rng.uniform(0.1, 10.0, size=(n, len(PSF_ORDER))),
+            rng.uniform(0.0, 1.0, size=n),
+            tuple(int(t) if t % 3 else None for t in rng.integers(1, 100, size=n)),
+        )
+        columns = [
+            (i, tuple(v.hex() for v in psfs), h.hex(), t)
+            for i, psfs, h, t in zip(obs.ids, obs.psfs.tolist(), obs.hep.tolist(), obs.trials)
+        ]
+        assert _rows_of(obs) == columns
+        assert len(list(obs)) == n
+
+    def test_streamed_loop_holds_one_row_at_a_time(self):
+        # The score workload's task shape: 40k rows with a trials column.
+        # Bound: a loop that drops each instance peaks below a tenth of the
+        # size of the cached tuple (about 18 MB), with 1024-row blocks
+        # converted from the columns at a time (about 0.3 MB measured).
+        n = 40_000
+        rng = np.random.default_rng(40)
+        obs = ObservationSet(
+            tuple(f"T{i + 1:06d}" for i in range(n)),
+            rng.uniform(0.05, 10.0, size=(n, len(PSF_ORDER))),
+            rng.uniform(0.0, 0.3, size=n),
+            tuple(rng.integers(20, 2000, size=n).tolist()),
+        )
+        tracemalloc.start()
+        try:
+            for inst in obs:
+                pass
+            del inst
+            _, streamed_peak = tracemalloc.get_traced_memory()
+            base = tracemalloc.get_traced_memory()[0]
+            cached = obs.instances
+            cached_size = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(cached) == n
+        assert cached_size > 10_000_000
+        assert streamed_peak * 10 < cached_size
 
     def test_instances_cannot_be_changed(self):
         obs = bundled_table2()

@@ -1,6 +1,8 @@
 """Probability algebra, multiplier lookup, and normalization."""
+import itertools
 import math
 import re
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -158,6 +160,101 @@ class TestProbability:
     def test_rejects_non_finite(self):
         with pytest.raises(InputError):
             Probability(float("nan"))
+
+
+@dataclass(frozen=True, slots=True)
+class OracleProbability:
+    """The dataclass-generated Probability constructor with its validating
+    __post_init__, kept as the reference for the single-write __init__."""
+
+    value: float
+
+    def __post_init__(self):
+        v = self.value
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
+            raise InputError(f"probability must be in [0, 1], got {v!r}")
+        object.__setattr__(self, "value", float(v))
+
+
+@dataclass(frozen=True)
+class OracleErrorTally:
+    """The dataclass-generated ErrorTally constructor with its validating
+    __post_init__, kept as the reference for the single-write __init__."""
+
+    occurred: int
+    potential: int
+
+    def __post_init__(self):
+        if not (isinstance(self.occurred, int) and isinstance(self.potential, int)):
+            raise InputError("error tally counts must be integers")
+        if self.potential < 1:
+            raise InputError(f"potential error count must be >= 1, got {self.potential}")
+        if not 0 <= self.occurred <= self.potential:
+            raise InputError(
+                f"occurred count {self.occurred} must be in [0, {self.potential}]"
+            )
+
+
+_CONSTRUCTOR_POOL = [
+    True, False, 1, 0, -0.0, 0.25, 1.0, 1.0000000000000002, -1e-300,
+    math.nan, math.inf, -math.inf, np.float64(0.5), np.int64(1), "0.5", None,
+]
+_COUNT_POOL = _CONSTRUCTOR_POOL + [2, 3, 7, 2.0, 1.5, -1, -5]
+
+
+def _constructed(cls, *args):
+    """("ok", each field's type and repr, hash) or ("error", message)."""
+    try:
+        obj = cls(*args)
+    except InputError as exc:
+        return "error", str(exc)
+    stored = tuple((type(v), repr(v)) for v in (getattr(obj, f.name) for f in fields(obj)))
+    return "ok", stored, hash(obj)
+
+
+class TestConstructorsMatchOracles:
+    @pytest.mark.parametrize("value", _CONSTRUCTOR_POOL, ids=repr)
+    def test_probability(self, value):
+        assert _constructed(Probability, value) == _constructed(OracleProbability, value)
+
+    def test_error_tally(self):
+        for occurred, potential in itertools.product(_COUNT_POOL, repeat=2):
+            assert _constructed(ErrorTally, occurred, potential) == _constructed(
+                OracleErrorTally, occurred, potential
+            ), (occurred, potential)
+
+    def test_keyword_construction_and_replace(self):
+        assert Probability(value=0.5) == replace(Probability(0.1), value=0.5)
+        assert ErrorTally(potential=4, occurred=1) == replace(ErrorTally(0, 4), occurred=1)
+        with pytest.raises(InputError, match=re.escape("must be in [0, 4]")):
+            replace(ErrorTally(0, 4), occurred=5)
+
+    def test_values_are_frozen_and_slotted(self):
+        for obj, name in ((Probability(0.5), "value"), (ErrorTally(1, 2), "occurred")):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises(AttributeError):
+                setattr(obj, name, 0)
+
+
+class TestHugeIntegers:
+    """An int too large for a float is rejected with the usual message, not
+    the OverflowError that converting it to a float raises."""
+
+    @pytest.mark.parametrize("huge", [2**1100, -(2**1100)], ids=["2**1100", "-2**1100"])
+    def test_probability(self, huge):
+        with pytest.raises(InputError, match=re.escape(f"probability must be in [0, 1], got {huge!r}")):
+            Probability(huge)
+
+    @pytest.mark.parametrize("huge", [2**1100, -(2**1100)], ids=["2**1100", "-2**1100"])
+    def test_composite_hep(self, huge):
+        with pytest.raises(InputError, match=re.escape(f"not a finite positive number: {huge}")):
+            composite_hep(Probability(0.5), huge)
+
+    def test_multipliers(self):
+        with pytest.raises(InputError, match="multiplier for AvailableTime must be a positive real"):
+            PsfVector.from_sequence([2**1100] + [1.0] * 7)
+        with pytest.raises(InputError, match="action multiplier for level 'x'"):
+            MultiplierRow("x", 2**1100, 1.0)
 
 
 class TestLookup:

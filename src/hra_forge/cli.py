@@ -13,9 +13,9 @@ import math
 import os
 import sys
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import ann, dataset, pipeline, rsm, svg
 from .errors import InputError, NumericalError, PipelineAbortedError
@@ -304,7 +304,8 @@ def cmd_report(args) -> int:
         res = np.array(residual)
         order = np.sort(res)
         n = len(order)
-        theo = ndtri((np.arange(1, n + 1) - 0.5) / n)
+        quantile = NormalDist().inv_cdf
+        theo = [quantile((i - 0.5) / n) for i in range(1, n + 1)]
         mu = float(res.mean())
         sigma = float(res.std())
         # one plot per kind, in the order of pipeline.REPORT_PLOTS
@@ -317,7 +318,7 @@ def cmd_report(args) -> int:
                 ref_line=(1.0, 0.0),
             ),
             svg.scatter_svg(
-                list(zip(theo.tolist(), order.tolist())),
+                list(zip(theo, order.tolist())),
                 title=f"Normal quantile plot of residuals (iteration {int(d)})",
                 xlabel="theoretical quantile",
                 ylabel="residual",

@@ -254,7 +254,7 @@ def composite_hep(nominal, psf_total: float) -> Probability:
     composite = n*t / (n*(t-1) + 1). The identity composite(n, 1) = n holds
     exactly, and the result stays in [0, 1] for any positive impact.
     """
-    n = float(nominal)
+    n = float(nominal) if _finite(nominal) else nominal  # nan or a huge int fails below
     if not 0.0 <= n <= 1.0:
         raise InputError(f"nominal HEP must be in [0, 1], got {n}")
     if not (_finite(psf_total) and psf_total > 0):
@@ -369,7 +369,8 @@ def resolve_levels(
     values: dict[PsfId, float] = {psf: 1.0 for psf in PSF_ORDER}
     for psf, given in assignments.items():
         if isinstance(given, (int, float)):
-            values[psf] = float(given)
+            # an int too large for a float reaches PsfVector's check as it is
+            values[psf] = float(given) if _finite(given) else given
             continue
         table = tables.get(psf)
         if table is None:

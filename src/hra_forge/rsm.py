@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .dataset import DesignRow
+from .dist import f_sf
 from .errors import InputError, NumericalError, RankDeficientError
 from .ioutil import csv_text
 from .psf import PSF_ORDER, PsfId
@@ -399,12 +399,6 @@ class AnovaTable:
         }
 
 
-def _f_pvalue(f: float, dfn: int, dfd: int) -> float:
-    if math.isinf(f):
-        return 0.0
-    return float(fdtrc(dfn, dfd, f))
-
-
 def _f_test(ss: float, df: int, ms_error: float, df_error: int):
     """(ms, F, p) of ``ss`` on ``df`` degrees of freedom against ``ms_error``:
     df 0 gives ms 0 and no test; ms_error 0 gives F = inf and p = 0."""
@@ -412,14 +406,16 @@ def _f_test(ss: float, df: int, ms_error: float, df_error: int):
         return 0.0, None, None
     ms = ss / df
     f = ms / ms_error if ms_error > 0 else math.inf
-    return ms, f, _f_pvalue(f, df, df_error)
+    return ms, f, f_sf(df, df_error, f)
 
 
-def _term_tests(matrix: np.ndarray, coef: np.ndarray, ms_error: float, df_error: int):
-    """(SS, F, p) arrays of each column's one-df partial test, by ``_f_test``'s
+def _term_tests(matrix: np.ndarray, coef: np.ndarray, ms_error: float):
+    """(SS, F) arrays of each column's one-df partial test, by ``_f_test``'s
     rules: SS is b_i^2 / [(X'X)^-1]_ii, floored at 0, and its mean square;
-    ms_error 0 gives F = inf and p = 0. With X = QR the diagonal of
-    (X'X)^-1 = R^-1 R^-T is the row sums of R^-1 squared elementwise."""
+    ms_error 0 gives F = inf. With X = QR the diagonal of (X'X)^-1 =
+    R^-1 R^-T is the row sums of R^-1 squared elementwise. Every test has
+    one numerator df and the residual df, so P(F > f) falls as F rises and
+    the caller computes only the p-values it needs."""
     r_inv = np.linalg.inv(np.linalg.qr(matrix, mode="r"))
     ss = np.maximum(coef * coef / (r_inv * r_inv).sum(axis=1), 0.0)
     if ms_error > 0:
@@ -427,7 +423,7 @@ def _term_tests(matrix: np.ndarray, coef: np.ndarray, ms_error: float, df_error:
             f = ss / ms_error
     else:
         f = np.full_like(ss, np.inf)
-    return ss, f, np.where(np.isinf(f), 0.0, fdtrc(1, df_error, f))
+    return ss, f
 
 
 def _corrected_total(z: np.ndarray, power: float) -> float:
@@ -479,10 +475,10 @@ def anova(fit_result: FitResult, rows: Sequence[DesignRow]) -> AnovaTable:
     max(F, 1): below F = 1 the refit's own difference of two SSEs carries
     rounding of about eps * SSE. One F rule tests the Model row
     (``_f_test``) and the term rows (``_term_tests``, which elimination's
-    passes share) against the residual mean square, and Lack of Fit against
-    pure error. Without replicate rows the lack-of-fit partition is omitted;
-    a constant transformed response leaves no F defined and raises
-    NumericalError.
+    passes share, and ``dist.f_sf``) against the residual mean square, and
+    Lack of Fit against pure error. Without replicate rows the lack-of-fit
+    partition is omitted; a constant transformed response leaves no F
+    defined and raises NumericalError.
     """
     spec = fit_result.spec
     z = fit_result.transformed
@@ -498,10 +494,10 @@ def anova(fit_result: FitResult, rows: Sequence[DesignRow]) -> AnovaTable:
                  *_f_test(ss_model, df_model, ms_resid, df_resid))
     ]
     b = np.array([fit_result.coefficients[t] for t in spec.terms])
-    tests = _term_tests(fit_result.matrix, b, ms_resid, df_resid)
-    for term, ss, f, p in zip(spec.terms, *(a.tolist() for a in tests)):
-        if term.kind != _KIND_INTERCEPT:
-            out.append(AnovaRow(str(term), ss, 1, ss, f, p))  # one df: ms = ss
+    ss, f = _term_tests(fit_result.matrix, b, ms_resid)
+    for term, ss_i, f_i in zip(spec.terms, ss.tolist(), f.tolist()):
+        if term.kind != _KIND_INTERCEPT:  # one df: ms = ss
+            out.append(AnovaRow(str(term), ss_i, 1, ss_i, f_i, f_sf(1, df_resid, f_i)))
     out.append(AnovaRow("Residual", sse, df_resid, ms_resid, None, None))
     ss_pe, df_pe = _pure_error(rows, spec, z)
     if df_pe > 0:
@@ -541,15 +537,17 @@ def backward_eliminate(
 ):
     """Remove the weakest term until everything removable is significant.
 
-    Each pass computes the partial p-values of the current model and drops
-    the removable term with the largest p above alpha (ties broken by
-    canonical term order). Main effects are not removable while any
-    interaction or quadratic child survives, so the result stays
-    hierarchical. Each pass refits a subset of the full spec's model
-    columns with ``fit``'s arithmetic and tests it with ``anova``'s, so
-    every step's p-value and ``sse_after`` (the SSE once the term is gone)
-    are those of ``anova(fit(...))`` on that spec. Returns (reduced spec,
-    steps).
+    The weakest term is the removable term with the smallest partial F
+    (ties broken by canonical term order). Every partial test of a pass has
+    one numerator df and the same residual df, so it is also the removable
+    term with the largest p-value, and each pass computes that one p-value:
+    the term goes if p > alpha, and elimination stops otherwise. Main
+    effects are not removable while any interaction or quadratic child
+    survives, so the result stays hierarchical. Each pass refits a subset
+    of the full spec's model columns with ``fit``'s arithmetic and tests it
+    with ``anova``'s, so every step's p-value and ``sse_after`` (the SSE
+    once the term is gone) are those of ``anova(fit(...))`` on that spec.
+    Returns (reduced spec, steps).
     """
     spec, steps, _, _ = _eliminate(rows, full_spec, alpha, coding)
     return spec, steps
@@ -571,10 +569,11 @@ def _eliminate(
     refits a C-contiguous copy of those columns of X_full (a strided view
     would take another BLAS path and move SSEs in the last digits), tests
     every column at once with ``_term_tests``, keeps ``anova``'s additivity
-    checks and drops the removable column with the largest p. Deleting
-    columns can neither lower the smallest singular value nor raise the
-    largest, so every kept subset has full rank when X_full has. Only the
-    reduced spec gets a ModelSpec, FitResult and AnovaTable.
+    checks and drops the removable column with the smallest F while its p
+    is above alpha. Deleting columns can neither lower the smallest
+    singular value nor raise the largest, so every kept subset has full
+    rank when X_full has. Only the reduced spec gets a ModelSpec,
+    FitResult and AnovaTable.
     """
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha must be in (0, 1), got {alpha}")
@@ -601,14 +600,16 @@ def _eliminate(
         ss_model = float(((fitted - z.mean()) ** 2).sum())
         _check_additivity((ss_model, sse), ss_total, "model + residual")
         df_resid = len(z) - len(cols)
-        _, _, p = _term_tests(X, coef, sse / df_resid, df_resid)
+        _, f = _term_tests(X, coef, sse / df_resid)
         protected = parent_of[np.ix_(cols, cols)].any(axis=0)
-        removable = droppable[cols] & ~protected & (p > alpha)
-        if not removable.any():
+        # smallest F is largest p; argmin keeps the first, canonical, of
+        # exact ties. With no removable column every F is inf, and p = 0.
+        f = np.where(droppable[cols] & ~protected, f, np.inf)
+        drop = int(np.argmin(f))
+        p_value = f_sf(1, df_resid, float(f[drop]))
+        if not p_value > alpha:
             break
-        # largest p first; argmax keeps the first, canonical, of exact ties
-        drop = int(np.argmax(np.where(removable, p, -1.0)))
-        term, p_value = terms[cols[drop]], float(p[drop])
+        term = terms[cols[drop]]
         cols = np.delete(cols, drop)
         X = np.ascontiguousarray(X_full[:, cols])
         coef, _, fitted, residuals = _least_squares(X, z)

@@ -256,6 +256,16 @@ class TestHugeIntegers:
         with pytest.raises(InputError, match="action multiplier for level 'x'"):
             MultiplierRow("x", 2**1100, 1.0)
 
+    @pytest.mark.parametrize("huge", [2**1100, -(2**1100)], ids=["2**1100", "-2**1100"])
+    def test_resolve_levels(self, huge):
+        with pytest.raises(InputError, match=re.escape(f"multiplier for Stress must be a positive real, got {huge!r}")):
+            resolve_levels({}, {PsfId.Stress: huge}, Mode.Action)
+
+    @pytest.mark.parametrize("huge", [2**1100, -(2**1100)], ids=["2**1100", "-2**1100"])
+    def test_composite_hep_nominal(self, huge):
+        with pytest.raises(InputError, match=re.escape(f"nominal HEP must be in [0, 1], got {huge}")):
+            composite_hep(huge, 1.0)
+
 
 class TestLookup:
     def test_bundled_labels(self):

@@ -42,17 +42,14 @@ _PREDICTOR_MAGIC = "hra-forge predictor v1"
 
 @dataclass(frozen=True)
 class Topology:
-    """Layer sizes: inputs = active PSFs, one output, hidden defaults to inputs."""
+    """Layer sizes: inputs = active PSFs, hidden defaults to inputs, one output."""
 
     n_inputs: int
     n_hidden: int
-    n_outputs: int = 1
 
     def __post_init__(self):
         if self.n_inputs < 1 or self.n_hidden < 1:
             raise InputError("topology layer sizes must be >= 1")
-        if self.n_outputs != 1:
-            raise InputError("only single-output networks are supported")
 
 
 def default_topology(n_inputs: int, n_hidden: Optional[int] = None) -> Topology:
@@ -467,18 +464,17 @@ def train_replicated(
     config: TrainingConfig,
     active_psfs: Sequence[PsfId],
     maxima: dict[PsfId, float],
-    topology: Optional[Topology] = None,
 ) -> TrainedPredictor:
     """Train n_replications runs from seeds seed, seed+1, ... and ensemble them.
 
+    The topology is ``default_topology(X.shape[1], config.hidden_nodes)``.
     All replications train together in one batched program; member k is
     exactly ``train_one(X, y, topology, config, config.seed + k)``, bit for
     bit. A replication that diverges is dropped with its seed recorded; if
     every replication diverges the whole training fails.
     """
     X = np.asarray(X, dtype=float)
-    if topology is None:
-        topology = default_topology(X.shape[1], config.hidden_nodes)
+    topology = default_topology(X.shape[1], config.hidden_nodes)
     seeds = [config.seed + k for k in range(config.n_replications)]
     members = []
     dropped = []
@@ -523,7 +519,7 @@ def save_predictor(pred: TrainedPredictor, path) -> None:
     """Serialize a trained predictor to its versioned plain-text format."""
     lines = [_PREDICTOR_MAGIC]
     t = pred.topology
-    lines.append(f"topology {t.n_inputs} {t.n_hidden} {t.n_outputs}")
+    lines.append(f"topology {t.n_inputs} {t.n_hidden} 1")
     lines.append("active " + ",".join(p.letter for p in pred.active_psfs))
     lines.append("maxima " + " ".join(fmt_full(pred.maxima[p]) for p in pred.active_psfs))
     lines.append(f"ensemble {len(pred.members)}")
@@ -546,39 +542,43 @@ def _parse_predictor(text: str) -> TrainedPredictor:
     lines = text.splitlines()
     if not lines or lines[0] != _PREDICTOR_MAGIC:
         raise InputError("not a recognized predictor file")
+    pos, key = 0, ""  # the index of the line being read and its expected key
+
+    def values(expected: str, cast=float, count=None) -> list:
+        """The values after ``expected`` on the next line, which must start with
+        it and, when ``count`` is given, hold that many."""
+        nonlocal pos, key
+        pos, key = pos + 1, expected
+        head, *words = lines[pos].split()
+        if head != expected or count not in (None, len(words)):
+            raise ValueError(head)
+        return [cast(w) for w in words]
+
     try:
-        _, n_in, n_hid, n_out = lines[1].split()
-        topology = Topology(int(n_in), int(n_hid), int(n_out))
-        letters = lines[2].removeprefix("active ").split(",")
-        active = tuple(PsfId.from_letter(l) for l in letters)
-        max_vals = [float(v) for v in lines[3].removeprefix("maxima ").split()]
-        maxima = dict(zip(active, max_vals, strict=True))
-        count = int(lines[4].removeprefix("ensemble "))
+        n_in, n_hid, n_out = values("topology", int)
+        if n_out != 1:
+            raise InputError("malformed predictor file: line 2: "
+                             "only single-output networks are supported")
+        topology = Topology(n_in, n_hid)
+        (letters,) = values("active", str)
+        active = tuple(PsfId.from_letter(l) for l in letters.split(","))
+        maxima = dict(zip(active, values("maxima"), strict=True))
+        (n_members,) = values("ensemble", int)
         members = []
-        pos = 5
-        for _ in range(count):
-            _, seed, loss = lines[pos].split()
-            pos += 1
-            w_hidden = []
-            for _ in range(topology.n_hidden):
-                w_hidden.append([float(v) for v in lines[pos].split()[1:]])
-                pos += 1
-            b_hidden = [float(v) for v in lines[pos].split()[1:]]
-            pos += 1
-            w_output = [float(v) for v in lines[pos].split()[1:]]
-            pos += 1
-            b_output = float(lines[pos].split()[1])
-            pos += 1
-            members.append(
-                EnsembleMember(
-                    int(seed),
-                    WeightSet(np.array(w_hidden), np.array(b_hidden),
-                              np.array(w_output), b_output),
-                    float(loss),
-                )
-            )
-    except (IndexError, ValueError) as exc:
-        raise InputError(f"malformed predictor file: {exc}") from exc
+        for _ in range(n_members):
+            seed, loss = values("member", str)
+            seed, loss = int(seed), float(loss)
+            w_hidden = [values("wh")]  # later rows as long as the first
+            w_hidden += [values("wh", count=len(w_hidden[0])) for _ in range(n_hid - 1)]
+            b_hidden = values("bh")
+            w_output = values("wo")
+            (b_output,) = values("bo")
+            weights = WeightSet(w_hidden, b_hidden, w_output, b_output)
+            members.append(EnsembleMember(seed, weights, loss))
+    except (IndexError, ValueError):
+        got = repr(lines[pos]) if pos < len(lines) else "the end of the file"
+        raise InputError(f"malformed predictor file: line {pos + 1}: cannot read a "
+                         f"{key!r} line from {got}") from None
     return TrainedPredictor(topology, tuple(members), active, maxima)
 
 

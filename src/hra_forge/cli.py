@@ -106,10 +106,6 @@ def _training_config(args) -> ann.TrainingConfig:
     return config
 
 
-def _power(args) -> float:
-    return pipeline.PipelineConfig.response_power if args.power is None else args.power
-
-
 def cmd_train(args) -> int:
     obs = _load_observations_arg(args.observations)
     config = _training_config(args)
@@ -172,10 +168,10 @@ def cmd_anova(args) -> int:
     rows, coding = _load_design_arg(args.design)
     if args.model:
         spec = rsm.parse_model_spec(args.model)
-        if args.power is not None:
-            spec = replace(spec, response_power=args.power)
     else:
-        spec = rsm.full_quadratic(sorted(rows[0].levels), _power(args))
+        spec = rsm.full_quadratic(sorted(rows[0].levels), pipeline.PipelineConfig.response_power)
+    if args.power is not None:
+        spec = replace(spec, response_power=args.power)
     fit_result = rsm.fit(rows, spec, coding)
     table = rsm.anova(fit_result, rows)
     _print_anova(table)
@@ -189,7 +185,7 @@ def cmd_anova(args) -> int:
 def cmd_screen(args) -> int:
     rows, coding = _load_design_arg(args.design)
     letters = sorted(rows[0].levels)
-    full = rsm.full_quadratic(letters, _power(args))
+    full = rsm.full_quadratic(letters, args.power)
     reduced, steps, _, table = rsm._eliminate(rows, full, args.alpha, coding)
     active = [PsfId.from_letter(l) for l in letters]
     report = rsm.screen_psfs(reduced, active, table.term_pvalues())
@@ -208,7 +204,7 @@ def cmd_pipeline(args) -> int:
     config = pipeline.PipelineConfig(
         training=_training_config(args),
         alpha=args.alpha,
-        response_power=_power(args),
+        response_power=args.power,
         initial_design=initial,
         max_iterations=args.max_iterations,
     )
@@ -219,7 +215,7 @@ def cmd_pipeline(args) -> int:
     except PipelineAbortedError as exc:
         # persist whatever completed so the failure can be inspected
         if exc.completed:
-            partial = pipeline.PipelineResult(exc.completed, "aborted")
+            partial = pipeline.PipelineResult(exc.completed, pipeline.REASON_ABORTED)
             pipeline.save_result(partial, obs, args.out)
             print(f"wrote partial trail to {args.out}", file=sys.stderr)
         raise
@@ -291,15 +287,18 @@ def cmd_report(args) -> int:
     if missing:
         raise InputError("missing result artifacts: " + ", ".join(missing))
     os.makedirs(outdir, exist_ok=True)
+    # the plotted columns, by the names save_result writes them under
+    _, observed_col, predicted_col, _ = pipeline.METRICS_COLUMNS
+    _, _, response_col, _, fitted_col, residual_col, back_col = pipeline.RSM_FIT_COLUMNS
     written = []
     for d in subdirs:
         sub = os.path.join(iter_root, d)
         observed, predicted = _read_csv(
-            os.path.join(sub, "metrics.csv"), ("observed_hep", "predicted_hep")
+            os.path.join(sub, "metrics.csv"), (observed_col, predicted_col)
         )
         response, fitted, residual, back = _read_csv(
             os.path.join(sub, "rsm_fit.csv"),
-            ("response", "fitted", "residual", "predicted_response"),
+            (response_col, fitted_col, residual_col, back_col),
         )
         res = np.array(residual)
         order = np.sort(res)
@@ -374,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="generate a central composite design")
     p.add_argument("--generate", action="store_true")
     p.add_argument("--factors", type=int, default=8)
-    p.add_argument("--center", type=int, default=6)
+    p.add_argument("--center", type=int, default=rsm.DEFAULT_CENTER_RUNS)
     p.add_argument("--axial", type=float, default=rsm.DEFAULT_AXIAL)
     p.add_argument("--out", help="design CSV destination (default: stdout)")
     p.set_defaults(func=cmd_design)
@@ -388,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("screen", help="backward-eliminate the full quadratic and screen factors")
     p.add_argument("--design", help="design CSV (default: bundled)")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--power", type=float, help="response transform exponent")
+    p.add_argument("--alpha", type=float, default=pipeline.PipelineConfig.alpha)
+    p.add_argument("--power", type=float, default=pipeline.PipelineConfig.response_power,
+                   help="response transform exponent")
     p.add_argument("--out", help="screening report destination")
     p.set_defaults(func=cmd_screen)
 
@@ -399,11 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generate", action="store_true",
                    help="generate the first-iteration design instead")
     p.add_argument("--config", help="training config file")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--power", type=float)
+    p.add_argument("--alpha", type=float, default=pipeline.PipelineConfig.alpha)
+    p.add_argument("--power", type=float, default=pipeline.PipelineConfig.response_power)
     p.add_argument("--seed", type=int)
     p.add_argument("--replications", type=int)
-    p.add_argument("--max-iterations", type=int, default=10)
+    p.add_argument("--max-iterations", type=int, default=pipeline.PipelineConfig.max_iterations)
     p.add_argument("--out", required=True, help="result directory")
     p.set_defaults(func=cmd_pipeline)
 

@@ -23,8 +23,8 @@ from .ann import (
     TrainingConfig,
     metrics,
     save_predictor,
+    train_replicated,
 )
-from .ann import train_replicated
 from .dataset import DesignRow, ObservationSet, save_design
 from .errors import InputError, NumericalError, PipelineAbortedError
 from .ioutil import FULL, atomic_write_text, csv_text
@@ -36,6 +36,7 @@ from .rsm import (
     ScreeningReport,
     _eliminate,
     anova_csv_text,
+    back_transform,
     evaluate_design,
     full_quadratic,
     generate_ccd,
@@ -51,18 +52,19 @@ from .rsm import anova, backward_eliminate, fit  # noqa: F401
 REASON_CONVERGED = "no-elimination"
 REASON_MAX_ITERATIONS = "max-iterations"
 REASON_MIN_PSFS = "min-psfs"
+REASON_ABORTED = "aborted"  # the partial trail of a failed run
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Loop parameters.
 
+    ``training`` sets the network; its hidden width is ``training.hidden_nodes``.
     ``initial_design`` supplies evaluated rows for the first iteration (the
     bundled 60-run table in the reference workflow); its coding is inferred
     from the rows. Later iterations, and the first when no design is given,
-    generate a central composite design with six center runs and the default
-    axial distance, under the uniform coding (center 0.5, half range 0.3) of
-    the normalized scale, and evaluate it through the freshly trained ensemble.
+    evaluate through the freshly trained ensemble a central composite design
+    with ``rsm.generate_ccd``'s defaults under ``rsm.uniform_coding``.
     """
 
     training: TrainingConfig = TrainingConfig()
@@ -166,7 +168,7 @@ def _run_iteration(
         coding = infer_coding(rows)
     else:
         coding = uniform_coding(letters)
-        rows = generate_ccd(active, coding, n_center=6)
+        rows = generate_ccd(letters, coding)
         rows = evaluate_design(rows, predictor)
 
     full = full_quadratic(letters, config.response_power)
@@ -313,7 +315,7 @@ def _rsm_fit_csv_text(record: IterationRecord) -> str:
     power = rsm_fit.spec.response_power
     return csv_text(RSM_FIT_COLUMNS, (
         [row.std_order, row.run_order, row.response, z, fitted, resid,
-         0.0 if fitted < 0 else min(float(fitted) ** (1.0 / power), 100.0)]
+         back_transform(float(fitted), power)[0]]
         for row, z, fitted, resid in zip(
             record.design, rsm_fit.transformed, rsm_fit.fitted, rsm_fit.residuals
         )

@@ -31,6 +31,12 @@ from .psf import PSF_ORDER, PsfId
 #: Default axial distance: places axial points at +/- 5/3 in coded units.
 DEFAULT_AXIAL = 5.0 / 3.0
 
+#: Center runs of a generated central composite design.
+DEFAULT_CENTER_RUNS = 6
+
+#: ``uniform_coding``'s (center, half range): default axial points land on 0 and 1.
+UNIFORM_CODING = (0.5, 0.3)
+
 _KIND_INTERCEPT, _KIND_MAIN, _KIND_INTERACTION, _KIND_QUADRATIC = 0, 1, 2, 3
 
 
@@ -117,7 +123,7 @@ class ModelSpec:
     """
 
     terms: tuple[ModelTerm, ...]
-    response_power: float = 1.0
+    response_power: float
 
     def __post_init__(self):
         terms = tuple(sorted(set(self.terms)))
@@ -168,7 +174,7 @@ def parse_model_spec(text: str) -> ModelSpec:
     return ModelSpec(terms, power)
 
 
-def full_quadratic(letters: Sequence[str], power: float = 1.0) -> ModelSpec:
+def full_quadratic(letters: Sequence[str], power: float) -> ModelSpec:
     """Intercept, all mains, all two-factor interactions, all quadratics."""
     letters = list(letters)
     terms = [intercept()]
@@ -201,10 +207,10 @@ class FactorCoding:
         return center + half * coded
 
 
-def uniform_coding(letters: Sequence[str], center: float = 0.5, half: float = 0.3) -> FactorCoding:
-    """The same (center, half_range) for every factor; the default for
-    generated designs on the normalized [0, 1] scale."""
-    return FactorCoding({l: (center, half) for l in letters})
+def uniform_coding(letters: Sequence[str]) -> FactorCoding:
+    """UNIFORM_CODING for every factor: the coding of generated designs on the
+    normalized [0, 1] scale."""
+    return FactorCoding({l: UNIFORM_CODING for l in letters})
 
 
 def infer_coding(rows: Sequence[DesignRow]) -> FactorCoding:
@@ -678,13 +684,19 @@ class PredictionResult:
     clamped: bool
 
 
+def back_transform(z: float, power: float) -> tuple[float, bool]:
+    """The reliability (0..100) of a transformed response z, its power-th root,
+    and whether it was clamped: to 0 when z < 0 (no real root), or to 100."""
+    value = 0.0 if z < 0.0 else z ** (1.0 / power)
+    return min(value, 100.0), z < 0.0 or value > 100.0
+
+
 def predict_response(fit_result: FitResult, point: Mapping[str, float]) -> PredictionResult:
     """Evaluate the fitted polynomial at actual-unit levels.
 
-    The polynomial gives the transformed response; the inverse transform
-    (power-th root) maps it back to the 0..100 reliability scale. Points
-    outside the design's coded range are flagged as extrapolation; a negative
-    transformed value (no real root) clamps to 0 and is flagged.
+    The polynomial gives the transformed response; ``back_transform`` maps it
+    back to the 0..100 reliability scale and flags a clamped value. Points
+    outside the design's coded range are flagged as extrapolation.
     """
     letters = sorted(fit_result.coded_ranges)
     missing = [l for l in letters if l not in point]
@@ -695,15 +707,7 @@ def predict_response(fit_result: FitResult, point: Mapping[str, float]) -> Predi
     extrapolated = bool(((coded < lo - 1e-9) | (coded > hi + 1e-9)).any())
     b = np.array([fit_result.coefficients[t] for t in fit_result.spec.terms])
     z = float(_columns(fit_result.spec, coded, letters)[0] @ b)
-    clamped = False
-    if z < 0.0:
-        value = 0.0
-        clamped = True
-    else:
-        value = z ** (1.0 / fit_result.spec.response_power)
-        if value > 100.0:
-            value = 100.0
-            clamped = True
+    value, clamped = back_transform(z, fit_result.spec.response_power)
     return PredictionResult(value, extrapolated, clamped)
 
 
@@ -727,9 +731,9 @@ def _fraction_signs(k: int) -> np.ndarray:
 
 
 def generate_ccd(
-    factors: Sequence,
+    letters: Sequence[str],
     coding: FactorCoding,
-    n_center: int,
+    n_center: int = DEFAULT_CENTER_RUNS,
     axial: float = DEFAULT_AXIAL,
 ) -> list[DesignRow]:
     """Central composite design: factorial fraction, axial pairs, center rows.
@@ -739,7 +743,6 @@ def generate_ccd(
     +/- ``axial`` in coded units. Responses are left unset. Run order equals
     standard order so generated designs are deterministic.
     """
-    letters = [f.letter if isinstance(f, PsfId) else str(f) for f in factors]
     if not 2 <= len(letters) <= 8:
         raise InputError(f"factor count must be between 2 and 8, got {len(letters)}")
     if len(set(letters)) != len(letters):

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Sequence
 
 _W, _H = 640, 480
 _ML, _MR, _MT, _MB = 72, 24, 48, 56
@@ -56,22 +56,18 @@ def scatter_svg(
     title: str,
     xlabel: str,
     ylabel: str,
-    ref_line: Optional[tuple[float, float]] = None,
+    ref_line: tuple[float, float],
 ) -> str:
-    """Scatter plot as an SVG document string.
-
-    ref_line, when given, is (slope, intercept) drawn across the x-range;
-    pass (1, 0) for an identity reference.
-    """
+    """Scatter plot as an SVG document string, with the reference line
+    ``ref_line`` = (slope, intercept) drawn dashed across the x-range."""
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     xlo, xhi = _expand(min(xs, default=0.0), max(xs, default=1.0))
     ylo, yhi = _expand(min(ys, default=0.0), max(ys, default=1.0))
-    if ref_line is not None:
-        slope, inter = ref_line
-        for x in (xlo, xhi):
-            y = slope * x + inter
-            ylo, yhi = min(ylo, y), max(yhi, y)
+    slope, inter = ref_line
+    for x in (xlo, xhi):
+        y = slope * x + inter
+        ylo, yhi = min(ylo, y), max(yhi, y)
 
     def px(x: float) -> float:
         return _ML + (x - xlo) / (xhi - xlo) * (_W - _ML - _MR)
@@ -120,13 +116,11 @@ def scatter_svg(
         f'font-size="12" text-anchor="middle" '
         f'transform="rotate(-90 18 {(_MT + _H - _MB) / 2:.0f})">{_esc(ylabel)}</text>'
     )
-    if ref_line is not None:
-        slope, inter = ref_line
-        out.append(
-            f'<line x1="{_fmt(px(xlo))}" y1="{_fmt(py(slope * xlo + inter))}" '
-            f'x2="{_fmt(px(xhi))}" y2="{_fmt(py(slope * xhi + inter))}" '
-            f'stroke="#888" stroke-dasharray="5,4"/>'
-        )
+    out.append(
+        f'<line x1="{_fmt(px(xlo))}" y1="{_fmt(py(slope * xlo + inter))}" '
+        f'x2="{_fmt(px(xhi))}" y2="{_fmt(py(slope * xhi + inter))}" '
+        f'stroke="#888" stroke-dasharray="5,4"/>'
+    )
     for x, y in points:
         out.append(
             f'<circle cx="{_fmt(px(x))}" cy="{_fmt(py(y))}" r="3.5" '

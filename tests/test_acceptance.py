@@ -149,7 +149,7 @@ def test_criterion_6_gradient_check():
         n_in = int(rng.integers(1, 6))
         n_hid = int(rng.integers(1, 7))
         n = int(rng.integers(2, 9))
-        topo = hf.Topology(n_in, n_hid, 1)
+        topo = hf.Topology(n_in, n_hid)
         weights = hf.init_weights(topo, 2000 + trial)
         X = rng.uniform(0.0, 1.0, (n, n_in))
         y = rng.uniform(0.05, 0.95, n)

@@ -132,11 +132,13 @@ def assert_matches_serial(X, y, topology, config):
     kept = [s for s in seeds if not isinstance(oracle[s], TrainingDivergedError)]
     active = PSF_ORDER[: topology.n_inputs]
     maxima = {p: 1.0 for p in active}
+    config = replace(config, hidden_nodes=topology.n_hidden)
     if not kept:
         with pytest.raises(NumericalError):
-            train_replicated(X, y, config, active, maxima, topology)
+            train_replicated(X, y, config, active, maxima)
         return {s: None for s in seeds}
-    pred = train_replicated(X, y, config, active, maxima, topology)
+    pred = train_replicated(X, y, config, active, maxima)
+    assert pred.topology == topology
     assert [m.seed for m in pred.members] == kept
     assert pred.dropped_seeds == tuple(s for s in seeds if s not in kept)
     for member in pred.members:
@@ -158,7 +160,7 @@ class TestGradient:
             n_in = int(rng.integers(1, 6))
             n_hid = int(rng.integers(1, 7))
             n = int(rng.integers(2, 9))
-            topo = Topology(n_in, n_hid, 1)
+            topo = Topology(n_in, n_hid)
             weights = init_weights(topo, 1000 + trial)
             X = rng.uniform(0.0, 1.0, (n, n_in))
             y = rng.uniform(0.05, 0.95, n)
@@ -170,7 +172,7 @@ class TestGradient:
             assert rel <= 1e-6, f"trial {trial}: relative gradient error {rel}"
 
     def test_loss_value_matches_forward(self):
-        topo = Topology(2, 3, 1)
+        topo = Topology(2, 3)
         weights = init_weights(topo, 9)
         X = np.array([[0.1, 0.9], [0.5, 0.5]])
         y = np.array([0.3, 0.7])
@@ -183,7 +185,7 @@ class TestGradient:
         rng = np.random.default_rng(seed)
         X = rng.uniform(0.0, 1.0, (n, n_in))
         y = rng.uniform(0.05, 0.95, n)
-        topo = Topology(n_in, n_hid, 1)
+        topo = Topology(n_in, n_hid)
         config = TrainingConfig(max_epochs=1)
         trained, trace = train_one(X, y, topo, config, seed)
         start = init_weights(topo, seed)
@@ -198,45 +200,45 @@ class TestGradient:
 
 class TestInit:
     def test_deterministic(self):
-        a = init_weights(Topology(4, 4, 1), 7)
-        b = init_weights(Topology(4, 4, 1), 7)
+        a = init_weights(Topology(4, 4), 7)
+        b = init_weights(Topology(4, 4), 7)
         assert np.array_equal(a.w_hidden, b.w_hidden)
         assert np.array_equal(a.b_hidden, b.b_hidden)
         assert np.array_equal(a.w_output, b.w_output)
         assert a.b_output == b.b_output
 
     def test_seed_changes_weights(self):
-        a = init_weights(Topology(4, 4, 1), 7)
-        b = init_weights(Topology(4, 4, 1), 8)
+        a = init_weights(Topology(4, 4), 7)
+        b = init_weights(Topology(4, 4), 8)
         assert not np.array_equal(a.w_hidden, b.w_hidden)
 
     def test_bounds(self):
-        w = init_weights(Topology(6, 6, 1), 3)
+        w = init_weights(Topology(6, 6), 3)
         for arr in (w.w_hidden, w.b_hidden, w.w_output, [w.b_output]):
             assert np.all(np.asarray(arr) >= -0.5)
             assert np.all(np.asarray(arr) < 0.5)
 
     def test_default_topology(self):
         topo = default_topology(8)
-        assert (topo.n_inputs, topo.n_hidden, topo.n_outputs) == (8, 8, 1)
+        assert (topo.n_inputs, topo.n_hidden) == (8, 8)
         assert default_topology(7, 3).n_hidden == 3
 
 
 class TestForward:
     def test_zero_weights_give_half(self):
-        topo = Topology(3, 2, 1)
+        topo = Topology(3, 2)
         w = WeightSet(np.zeros((2, 3)), np.zeros(2), np.zeros(2), 0.0)
         assert forward(w, [0.2, 0.4, 0.9]) == 0.5
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(0)
-        w = init_weights(Topology(5, 4, 1), 11)
+        w = init_weights(Topology(5, 4), 11)
         X = rng.uniform(0, 1, (50, 5))
         out = forward_batch(w, X)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_dimension_mismatch(self):
-        w = init_weights(Topology(3, 2, 1), 1)
+        w = init_weights(Topology(3, 2), 1)
         with pytest.raises(InputError):
             forward(w, [0.1, 0.2])
 
@@ -246,13 +248,13 @@ class TestTrainOne:
         X = np.array([[0.3, 0.7]])
         y = np.array([0.4])
         cfg = TrainingConfig(max_epochs=20000, learning_rate=2.0, loss_tolerance=1e-12)
-        _, trace = train_one(X, y, Topology(2, 2, 1), cfg, 1)
+        _, trace = train_one(X, y, Topology(2, 2), cfg, 1)
         assert trace[-1] < 1e-6
 
     def test_trace_starts_at_initial_loss(self):
         X = np.array([[0.2, 0.8], [0.9, 0.1]])
         y = np.array([0.3, 0.6])
-        topo = Topology(2, 2, 1)
+        topo = Topology(2, 2)
         cfg = TrainingConfig(max_epochs=5)
         w0 = init_weights(topo, 4)
         pred0 = forward_batch(w0, X)
@@ -264,7 +266,7 @@ class TestTrainOne:
         X = np.array([[0.2, 0.8], [0.9, 0.1], [0.4, 0.4]])
         y = np.array([0.3, 0.6, 0.5])
         cfg = TrainingConfig(max_epochs=500)
-        topo = Topology(2, 3, 1)
+        topo = Topology(2, 3)
         w_once, _ = train_one(X, y, topo, cfg, 5)
         w_twice, _ = train_one(np.vstack([X, X]), np.concatenate([y, y]), topo, cfg, 5)
         assert np.allclose(w_once.w_hidden, w_twice.w_hidden, atol=1e-12)
@@ -276,7 +278,7 @@ class TestTrainOne:
         y = rng.uniform(0.1, 0.9, 8)
         perm = rng.permutation(8)
         cfg = TrainingConfig(max_epochs=300)
-        topo = Topology(3, 3, 1)
+        topo = Topology(3, 3)
         a, _ = train_one(X, y, topo, cfg, 2)
         b, _ = train_one(X[perm], y[perm], topo, cfg, 2)
         assert np.allclose(a.w_hidden, b.w_hidden, atol=1e-12)
@@ -285,7 +287,7 @@ class TestTrainOne:
         X = np.array([[0.3, 0.7], [0.6, 0.2]])
         y = np.array([0.4, 0.5])
         cfg = TrainingConfig(max_epochs=50000, loss_tolerance=1e-4)
-        _, trace = train_one(X, y, Topology(2, 2, 1), cfg, 1)
+        _, trace = train_one(X, y, Topology(2, 2), cfg, 1)
         assert len(trace) < 50000
         assert trace[len(trace) - 1 - PLATEAU_WINDOW] - trace[-1] < 1e-4
 
@@ -294,12 +296,12 @@ class TestTrainOne:
         y = np.array([1e300])
         cfg = TrainingConfig(max_epochs=50)
         with pytest.raises(TrainingDivergedError) as err:
-            train_one(X, y, Topology(2, 2, 1), cfg, 7)
+            train_one(X, y, Topology(2, 2), cfg, 7)
         assert err.value.seed == 7
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
-            train_one(np.zeros((0, 2)), np.zeros(0), Topology(2, 2, 1), TrainingConfig(), 1)
+            train_one(np.zeros((0, 2)), np.zeros(0), Topology(2, 2), TrainingConfig(), 1)
 
 
 class TestEnsemble:
@@ -534,8 +536,33 @@ class TestSerialization:
         save_predictor(pred, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="malformed predictor file: line 10: cannot "
+                                             "read a 'wo' line from the end of the file$"):
             load_predictor(path)
+
+    @pytest.mark.parametrize("lineno, line, message", [
+        (2, "topology 8 8 2", "line 2: only single-output networks are supported"),
+        (2, "topology 2 2", "line 2: cannot read a 'topology' line from 'topology 2 2'"),
+        (5, "ensemble x", "line 5: cannot read a 'ensemble' line from 'ensemble x'"),
+        (7, "bh 0.1 0.2", "line 7: cannot read a 'wh' line from 'bh 0.1 0.2'"),
+        (8, "wh 0.1", "line 8: cannot read a 'wh' line from 'wh 0.1'"),
+    ], ids=["two-outputs", "short-topology", "bad-count", "wrong-key", "ragged-weights"])
+    def test_malformed_line_is_named(self, tmp_path, lineno, line, message):
+        rng = np.random.default_rng(2)
+        active = PSF_ORDER[:2]
+        pred = train_replicated(
+            rng.uniform(0, 1, (5, 2)), rng.uniform(0.1, 0.9, 5),
+            TrainingConfig(max_epochs=50, n_replications=1), active,
+            {p: 1.0 for p in active},
+        )
+        path = tmp_path / "net.txt"
+        save_predictor(pred, path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError) as info:
+            load_predictor(path)
+        assert str(info.value) == f"{path}: malformed predictor file: {message}"
 
 
 class TestConfigParsing:

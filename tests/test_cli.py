@@ -10,7 +10,7 @@ import pytest
 import hra_forge
 from conftest import count_calls, noise_ccd
 from hra_forge import ann, dataset, pipeline, rsm
-from hra_forge.cli import main
+from hra_forge.cli import build_parser, main
 from hra_forge.errors import NumericalError
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +27,30 @@ def tree_bytes(root):
             with open(path, "rb") as handle:
                 out[rel] = handle.read()
     return out
+
+
+def parsed_defaults():
+    """(alpha, power, max iterations, center runs) as screen, pipeline and
+    design parse them when the options are left out."""
+    parse = build_parser().parse_args
+    screen, run, design = parse(["screen"]), parse(["pipeline", "--out", "r"]), parse(["design"])
+    assert (screen.alpha, screen.power) == (run.alpha, run.power)
+    return run.alpha, run.power, run.max_iterations, design.center
+
+
+class TestParserDefaults:
+    def test_options_default_to_the_loop_config_and_rsm(self):
+        config = pipeline.PipelineConfig()
+        assert parsed_defaults() == (config.alpha, config.response_power,
+                                     config.max_iterations, rsm.DEFAULT_CENTER_RUNS)
+        # anova without --power keeps the power of its --model text
+        assert build_parser().parse_args(["anova"]).power is None
+
+    def test_options_follow_a_changed_default(self, monkeypatch):
+        for name, value in (("alpha", 0.01), ("response_power", 2.0), ("max_iterations", 4)):
+            monkeypatch.setattr(pipeline.PipelineConfig, name, value)
+        monkeypatch.setattr(rsm, "DEFAULT_CENTER_RUNS", 3)
+        assert parsed_defaults() == (0.01, 2.0, 4, 3)
 
 
 class TestQuantify:

@@ -120,7 +120,7 @@ class TestOlsOracle:
         ]
         spec = ModelSpec((intercept(), main_effect("A"), main_effect("B")), 200.0)
         with pytest.raises(RankDeficientError):
-            fit(rows, spec, uniform_coding(["A", "B"], 0.5, 0.3))
+            fit(rows, spec, uniform_coding(["A", "B"]))
 
     @pytest.mark.parametrize("power", [100.0, 200.0])
     def test_overflowing_power_raises(self, power):
@@ -154,7 +154,7 @@ class TestAnova:
         rows = bundled_table4()
         letters = sorted(rows[0].levels)
         a = fit(rows, PAPER_SPEC, infer_coding(rows))
-        b = fit(rows, PAPER_SPEC, uniform_coding(letters, 0.5, 0.25))
+        b = fit(rows, PAPER_SPEC, FactorCoding({l: (0.5, 0.25) for l in letters}))
         ta, tb = anova(a, rows), anova(b, rows)
         assert a.r2 == pytest.approx(b.r2, rel=1e-9)
         assert ta["Model"].f == pytest.approx(tb["Model"].f, rel=1e-9)
@@ -193,7 +193,7 @@ class TestAnova:
             for i, x in enumerate([0.1, 0.3, 0.5, 0.7, 0.9])
         ]
         spec = ModelSpec((intercept(), main_effect("A")), 1.0)
-        table = anova(fit(rows, spec, uniform_coding(["A"], 0.5, 0.4)), rows)
+        table = anova(fit(rows, spec, FactorCoding({"A": (0.5, 0.4)})), rows)
         assert not table.lack_of_fit_available
         assert [r.source for r in table.rows] == ["Model", "A", "Residual", "Cor Total"]
 
@@ -208,7 +208,7 @@ class TestAnova:
             DesignRow(6, 6, {"A": 0.5}, 20.0),
         ]
         spec = ModelSpec((intercept(), main_effect("A")), 1.0)
-        table = anova(fit(rows, spec, uniform_coding(["A"], 0.5, 0.3)), rows)
+        table = anova(fit(rows, spec, uniform_coding(["A"])), rows)
         assert table["Pure Error"].ss == 0.0
         assert math.isinf(table["Lack of Fit"].f)
         assert table["Lack of Fit"].p == 0.0
@@ -656,7 +656,7 @@ class TestTermsAndSpecs:
 
 class TestCoding:
     def test_uniform_axial_inversion(self):
-        coding = uniform_coding(["A"], 0.5, 0.3)
+        coding = uniform_coding(["A"])
         assert coding.decode("A", 1.0) == pytest.approx(0.8)
         assert coding.decode("A", -1.0) == pytest.approx(0.2)
         assert coding.decode("A", DEFAULT_AXIAL) == pytest.approx(1.0)
@@ -829,6 +829,23 @@ class TestBackwardElimination:
             spec = spec.without(step.term)
             assert step.sse_after == real_fit(rows, spec, coding).sse
 
+    def test_exact_f_tie_drops_the_canonical_first_term(self, monkeypatch):
+        rows = bundled_table4()
+        full = full_quadratic(sorted(rows[0].levels), 3.0)
+        first, last = interaction("A", "B"), quadratic("H")
+        real = rsm._term_tests
+
+        def tied(matrix, coef, ms_error):
+            # the full model's pass: two removable terms tie at the smallest F
+            ss, f = real(matrix, coef, ms_error)
+            if matrix.shape[1] == len(full.terms):
+                f[[full.terms.index(first), full.terms.index(last)]] = 0.0
+            return ss, f
+
+        monkeypatch.setattr(rsm, "_term_tests", tied)
+        _, steps = backward_eliminate(rows, full, 0.05, infer_coding(rows))
+        assert steps[0].term == first
+
     def test_all_inert_design_reduces_to_intercept(self):
         coding, rows = noise_ccd(list("ABC"), 0)
         full = full_quadratic(list("ABC"), 1.0)
@@ -922,7 +939,7 @@ class TestPrediction:
             DesignRow(6, 6, {"A": 0.5}, 15.2),
         ]
         spec = ModelSpec((intercept(), main_effect("A")), 1.0)
-        result = fit(rows, spec, uniform_coding(["A"], 0.5, 0.3))
+        result = fit(rows, spec, uniform_coding(["A"]))
         pred = predict_response(result, {"A": 2.0})
         assert pred.value == 0.0
         assert pred.clamped
@@ -945,7 +962,7 @@ class TestEvaluateDesign:
         member = EnsembleMember(seed=1, weights=weights, final_loss=0.0)
         active = tuple(PsfId.from_letter(l) for l in letters)
         return TrainedPredictor(
-            topology=Topology(k, k, 1),
+            topology=Topology(k, k),
             members=(member,),
             active_psfs=active,
             maxima={p: 1.0 for p in active},
@@ -985,7 +1002,7 @@ class TestRankDeficiency:
         ]
         spec = ModelSpec((intercept(), main_effect("A"), main_effect("B")), 1.0)
         with pytest.raises(RankDeficientError) as err:
-            fit(rows, spec, uniform_coding(["A", "B"], 0.5, 0.3))
+            fit(rows, spec, uniform_coding(["A", "B"]))
         assert "A" in str(err.value) and "B" in str(err.value)
 
     def test_too_few_rows_rejected(self):
@@ -995,4 +1012,4 @@ class TestRankDeficiency:
         ]
         spec = full_quadratic(["A"], 1.0)
         with pytest.raises(InputError):
-            fit(rows, spec, uniform_coding(["A"], 0.5, 0.3))
+            fit(rows, spec, uniform_coding(["A"]))

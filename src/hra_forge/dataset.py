@@ -8,11 +8,12 @@ Two CSV shapes are understood:
   are a subset of A..H in alphabetical order (the bundled design uses all
   eight; reduced designs produced after factor elimination use fewer).
 
-An observation file is checked in one pass over its columns. The error names
-the earliest faulty row and, within it, the first failed rule of: the cell
-count; each PSF cell, then hep, is a number; hep is in [0, 1]; trials is empty
-or an integer; each multiplier is finite and > 0; trials >= 1. Duplicate ids
-are reported only when no row is faulty.
+An observation file is parsed in blocks of ``_BLOCK_ROWS`` rows, each checked
+in one pass over its columns, so a load holds one block's cells at a time. The
+error still names the earliest faulty row of the file and, within it, the
+first failed rule of: the cell count; each PSF cell, then hep, is a number;
+hep is in [0, 1]; trials is empty or an integer; each multiplier is finite and
+> 0; trials >= 1. Duplicate ids are reported only when no row is faulty.
 
 The bundled fixtures are the 15-instance case study and the 60-run
 eight-factor screening design; ``ioutil`` checks their digests at load.
@@ -61,8 +62,9 @@ _SET_ID, _SET_PSFS, _SET_HEP, _SET_TRIALS = (
 _SET_MULTIPLIERS = PsfVector.__dict__["multipliers"].__set__
 _SET_VALUE = Probability.__dict__["value"].__set__
 
-# Rows converted from the columns at a time while iterating: a whole-set
-# conversion would hold every multiplier as a Python float at once.
+# Rows parsed at a time by the loader, and converted from the columns at a
+# time while iterating: a whole-file pass would hold every cell as a Python
+# str, and a whole-set conversion every multiplier as a Python float, at once.
 _BLOCK_ROWS = 1024
 
 
@@ -218,9 +220,9 @@ def load_observations(source) -> ObservationSet:
 
 
 def _parse_observation_columns(text: str) -> ObservationSet:
-    """Observations parsed column by column with Python ``float``. Each row rule
-    of the module docstring runs, in order, on the rows before the earliest
-    fault found so far, so the fault raised at the end is the first one."""
+    """Observations parsed column by column with Python ``float``, in blocks of
+    ``_BLOCK_ROWS`` rows. Blocks run in row order and the first that holds a
+    fault raises it, so the fault raised is the first one."""
     lines = csv_lines(text)
     if not lines:
         raise InputError("observations file is empty (expected a header row)")
@@ -230,52 +232,70 @@ def _parse_observation_columns(text: str) -> ObservationSet:
             f"unknown observations header: expected {','.join(_OBS_COLUMNS)} (optionally "
             f"with a trailing trials column), got {','.join(header)}"
         )
-    body, width = lines[1:], len(header)
-    n = next((i for i, raw in enumerate(body) if raw.count(",") != width - 1), len(body))
-    fault = n < len(body) and f"row {n + 1}: expected {width} cells, got {body[n].count(',') + 1}"
-    cells = ",".join(body[:n]).split(",") if n else []
-    # one column's floats at a time bounds the peak memory of a large file
-    numbers = np.empty((9, n))
+    numbers = np.empty((9, len(lines) - 1))
+    ids, trials = [], []
+    for start in range(0, len(lines) - 1, _BLOCK_ROWS):
+        block = lines[1 + start : 1 + start + _BLOCK_ROWS]
+        block_ids, block_trials = _parse_block(block, start, len(header), numbers[:, start:])
+        ids += block_ids
+        trials += block_trials
+    return ObservationSet(ids, numbers[:8].T, numbers[8], trials)
+
+
+def _parse_block(lines: list[str], offset: int, width: int, numbers: np.ndarray):
+    """The ids and trial counts of file rows ``offset + 1`` on, one per line;
+    their PSFs, then hep, go into the first ``len(lines)`` columns of
+    ``numbers``. Each row rule of the module docstring runs, in order, on the
+    rows before the earliest fault found so far, so the fault raised at the
+    end is the block's first one."""
+    n = next((i for i, raw in enumerate(lines) if raw.count(",") != width - 1), len(lines))
+    fault = n < len(lines) and (
+        f"row {offset + n + 1}: expected {width} cells, got {lines[n].count(',') + 1}"
+    )
+    cells = ",".join(lines[:n]).split(",") if n else []
     for j, name in enumerate(_OBS_COLUMNS[1:10]):
         try:
             numbers[j, :n] = list(map(float, cells[j + 1 : n * width : width]))
         except ValueError:
-            values, fault = _parse_cells(cells[j + 1 : n * width : width], parse_float, name)
+            values, fault = _parse_cells(cells[j + 1 : n * width : width], parse_float, name, offset)
             n = len(values)
             numbers[j, :n] = values
     hep_ok = (numbers[8, :n] >= 0.0) & (numbers[8, :n] <= 1.0)
     if not hep_ok.all():
         n = int(np.argmin(hep_ok))
-        fault = f"row {n + 1}: hep {float(numbers[8, n])} outside [0, 1]"
-    trials = [None] * n
+        fault = f"row {offset + n + 1}: hep {float(numbers[8, n])} outside [0, 1]"
+    block_trials = [None] * n
     if width > 10:
-        trials, fault = _parse_cells(cells[10 : n * width : width], _parse_trials, "trials", fault)
-        n = len(trials)
+        block_trials, fault = _parse_cells(
+            cells[10 : n * width : width], _parse_trials, "trials", offset, fault
+        )
+        n = len(block_trials)
     psf_ok = (numbers[:8, :n] > 0.0) & (numbers[:8, :n] < math.inf)
     if not psf_ok.all():
         n = int(np.argmin(psf_ok.all(axis=0)))
         j = int(np.argmin(psf_ok[:, n]))
         fault = (
-            f"row {n + 1}: multiplier for {PSF_ORDER[j].name} must be a positive real, "
-            f"got {float(numbers[j, n])!r}"
+            f"row {offset + n + 1}: multiplier for {PSF_ORDER[j].name} must be a positive "
+            f"real, got {float(numbers[j, n])!r}"
         )
-    low = next((i for i, t in zip(range(n), trials) if t is not None and t < 1), n)
+    low = next((i for i, t in zip(range(n), block_trials) if t is not None and t < 1), n)
     if low < n:
         fault = (
-            f"row {low + 1}: instance {cells[low * width].strip()!r}: "
-            f"trials must be >= 1, got {trials[low]}"
+            f"row {offset + low + 1}: instance {cells[low * width].strip()!r}: "
+            f"trials must be >= 1, got {block_trials[low]}"
         )
     if fault:
         raise InputError(fault)
-    ids = tuple(map(str.strip, cells[0::width]))
-    return ObservationSet(ids, numbers[:8].T, numbers[8], trials)
+    return list(map(str.strip, cells[0::width])), block_trials
 
 
-def _parse_cells(cells: list[str], parse, column: str, fault=None) -> tuple[list, Optional[str]]:
-    """Each stripped cell's ``parse(cell, rowno, column)`` up to the first that
-    raises InputError, and that error's message (``fault`` if none raises)."""
+def _parse_cells(cells: list[str], parse, column: str, offset: int,
+                 fault=None) -> tuple[list, Optional[str]]:
+    """Each stripped cell's ``parse(cell, rowno, column)``, rows numbered from
+    ``offset + 1``, up to the first that raises InputError, and that error's
+    message (``fault`` if none raises)."""
     values = []
-    for rowno, cell in enumerate(map(str.strip, cells), start=1):
+    for rowno, cell in enumerate(map(str.strip, cells), start=offset + 1):
         try:
             values.append(parse(cell, rowno, column))
         except InputError as exc:

@@ -25,7 +25,7 @@ from .ann import (
     save_predictor,
     train_replicated,
 )
-from .dataset import DesignRow, ObservationSet, save_design
+from .dataset import _BLOCK_ROWS, DesignRow, ObservationSet, save_design
 from .errors import InputError, NumericalError, PipelineAbortedError
 from .ioutil import FULL, atomic_write_text, csv_text
 from .psf import PSF_ORDER, PsfId
@@ -37,6 +37,7 @@ from .rsm import (
     _eliminate,
     anova_csv_text,
     back_transform,
+    check_response_power,
     evaluate_design,
     full_quadratic,
     generate_ccd,
@@ -78,8 +79,7 @@ class PipelineConfig:
             raise InputError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
-        if not self.response_power > 0:
-            raise InputError("response power must be positive")
+        check_response_power(self.response_power)
         if self.initial_design is not None:
             if not self.initial_design:
                 raise InputError("initial design has no runs")
@@ -191,7 +191,7 @@ def _run_iteration(
 
 # --- before/after comparison --------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComparisonRow:
     id: str
     observed: float
@@ -273,23 +273,25 @@ def compare_before_after(
 
 def comparison_csv_text(report: ComparisonReport) -> str:
     # one %-template per row: csv_text's per-cell dispatch takes about 1.6x
-    # as long (+0.1 s) on a 40k-row comparison
-    template = "%s," + ",".join([FULL] * 6)
-    lines = ["id,observed_hep,predicted_before,predicted_after,se_before,se_after,delta"]
-    delta = report.se_after - report.se_before
-    lines += [
-        template % cells
-        for cells in zip(
-            report.ids,
-            report.observed.tolist(),
-            report.predicted_before.tolist(),
-            report.predicted_after.tolist(),
-            report.se_before.tolist(),
-            report.se_after.tolist(),
-            delta.tolist(),
-        )
-    ]
-    return "\n".join(lines) + "\n"
+    # as long (+0.1 s) on a 40k-row comparison. Rows are formatted
+    # _BLOCK_ROWS at a time, so only one block's cells are Python objects.
+    template = "%s," + ",".join([FULL] * 6) + "\n"
+    columns = (
+        report.observed,
+        report.predicted_before,
+        report.predicted_after,
+        report.se_before,
+        report.se_after,
+        report.se_after - report.se_before,
+    )
+    blocks = ["id,observed_hep,predicted_before,predicted_after,se_before,se_after,delta\n"]
+    for start in range(0, len(report.ids), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        blocks.append("".join([
+            template % cells
+            for cells in zip(report.ids[rows], *(column[rows].tolist() for column in columns))
+        ]))
+    return "".join(blocks)
 
 
 # --- result directory serialization --------------------------------------------

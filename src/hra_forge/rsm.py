@@ -114,6 +114,12 @@ def parse_term(text: str) -> ModelTerm:
     raise InputError(f"cannot parse model term {token!r}")
 
 
+def check_response_power(power: float) -> None:
+    """The one rule for a response-transform exponent: finite and > 0."""
+    if not (math.isfinite(power) and power > 0):
+        raise InputError("response power must be a positive real")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A hierarchical term set plus the response-transform exponent.
@@ -137,8 +143,7 @@ class ModelSpec:
                         f"model is not hierarchical: {term} requires main "
                         f"effect {parent}"
                     )
-        if not (math.isfinite(self.response_power) and self.response_power > 0):
-            raise InputError("response power must be a positive real")
+        check_response_power(self.response_power)
         object.__setattr__(self, "terms", terms)
 
     def letters(self) -> tuple[str, ...]:

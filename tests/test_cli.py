@@ -390,6 +390,18 @@ class TestPipelineCommand:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("power", ["inf", "nan"])
+    def test_non_finite_power_exits_2_before_training(self, tmp_path, capsys, monkeypatch, power):
+        def must_not_run(*args):
+            raise AssertionError("train_replicated called")
+
+        monkeypatch.setattr(ann, "train_replicated", must_not_run)
+        monkeypatch.setattr(pipeline, "train_replicated", must_not_run)
+        code, out = self.run_pipeline(tmp_path, "nonfinite", ["--power", power])
+        assert code == 2
+        assert "response power must be a positive real" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_that_is_a_file_fails_before_training(self, tmp_path, capsys, monkeypatch):
         def must_not_run(observations, config):
             raise AssertionError("pipeline.run called")

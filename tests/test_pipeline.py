@@ -1,4 +1,6 @@
 """The screening loop, its invariants, and the before/after comparison."""
+import dataclasses
+import math
 import os
 from dataclasses import replace
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import count_calls, planted_observations
-from hra_forge import pipeline, rsm
+from hra_forge import dataset, pipeline, rsm
 from hra_forge.ann import TrainingConfig, train_replicated
 from hra_forge.cli import main
 from hra_forge.dataset import (
@@ -21,13 +23,15 @@ from hra_forge.pipeline import (
     PipelineConfig,
     REASON_CONVERGED,
     REASON_MAX_ITERATIONS,
+    ComparisonReport,
+    ComparisonRow,
     compare_before_after,
     comparison_csv_text,
     run,
     save_result,
     summary_csv_text,
 )
-from hra_forge.ioutil import fmt_full
+from hra_forge.ioutil import FULL, fmt_full
 from hra_forge.psf import PSF_ORDER, PsfId
 
 FAST = TrainingConfig(n_replications=3, max_epochs=3000)
@@ -166,6 +170,14 @@ class TestLoopControl:
         with pytest.raises(InputError):
             PipelineConfig(response_power=-1.0)
 
+    @pytest.mark.parametrize("power", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_power_rule_shared_with_model_spec(self, power):
+        message = "^response power must be a positive real$"
+        with pytest.raises(InputError, match=message):
+            PipelineConfig(response_power=power)
+        with pytest.raises(InputError, match=message):
+            rsm.full_quadratic("ABC", power)
+
     def test_empty_initial_design_rejected(self):
         with pytest.raises(InputError, match="initial design has no runs"):
             PipelineConfig(initial_design=())
@@ -223,6 +235,26 @@ def legacy_comparison(observations, predictor_before, predictor_after):
     return rows, mse_before, mse_after, "\n".join(lines) + "\n"
 
 
+def whole_list_comparison_csv_text(report):
+    """Reference writer: every row's line in one list, joined at the end."""
+    template = "%s," + ",".join([FULL] * 6)
+    lines = ["id,observed_hep,predicted_before,predicted_after,se_before,se_after,delta"]
+    delta = report.se_after - report.se_before
+    lines += [
+        template % cells
+        for cells in zip(
+            report.ids,
+            report.observed.tolist(),
+            report.predicted_before.tolist(),
+            report.predicted_after.tolist(),
+            report.se_before.tolist(),
+            report.se_after.tolist(),
+            delta.tolist(),
+        )
+    ]
+    return "\n".join(lines) + "\n"
+
+
 class TestComparison:
     def test_reference_columns(self):
         observed, before, after = bundled_refit_comparison()
@@ -251,6 +283,48 @@ class TestComparison:
         lines = text.splitlines()
         assert lines[0].startswith("id,observed_hep,predicted_before")
         assert len(lines) == 16
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, dataset._BLOCK_ROWS - 1, dataset._BLOCK_ROWS, dataset._BLOCK_ROWS + 1,
+              2 * dataset._BLOCK_ROWS + 1]
+    )
+    def test_csv_blocks_match_whole_list_writer(self, n):
+        rng = np.random.default_rng(n)
+        observed = rng.uniform(0.0, 1.0, n)
+        before, after = rng.uniform(0.0, 1.0, (2, n))
+        # cells that print in every length, up to 24 characters
+        special = [0.0, 1.0, 0.1, 5e-324, 1 / 3, 2.5e-17, 1e-300]
+        before[: len(special)] = special[:n]
+        report = ComparisonReport(
+            tuple(f"T{i}" + "x" * (i % 5) for i in range(n)),
+            observed, before, after, (before - observed) ** 2, (after - observed) ** 2,
+            mse_before=0.0, mse_after=0.0,
+        )
+        text = comparison_csv_text(report)
+        assert text == whole_list_comparison_csv_text(report)
+        assert text.count("\n") == n + 1
+
+    def test_rows_are_slotted_and_match_the_columns(self):
+        observed, before, after = bundled_refit_comparison()
+        report = compare_before_after(bundled_case_study(), _Fixed(before), _Fixed(after))
+        rows = report.rows
+        assert ComparisonRow.__slots__ == (
+            "id", "observed", "predicted_before", "predicted_after", "se_before", "se_after"
+        )
+        assert not any(hasattr(r, "__dict__") for r in rows)
+        assert [dataclasses.astuple(r) for r in rows] == list(zip(
+            report.ids,
+            report.observed.tolist(),
+            report.predicted_before.tolist(),
+            report.predicted_after.tolist(),
+            report.se_before.tolist(),
+            report.se_after.tolist(),
+        ))
+        assert [r.delta for r in rows] == (report.se_after - report.se_before).tolist()
+        again = ComparisonRow(*dataclasses.astuple(rows[0]))
+        assert again == rows[0] and hash(again) == hash(rows[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rows[0].observed = 0.0
 
     def test_matches_legacy_where_pow_and_multiply_round_apart(self):
         rng = np.random.default_rng(6)

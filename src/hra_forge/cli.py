@@ -186,7 +186,8 @@ def cmd_screen(args) -> int:
     rows, coding = _load_design_arg(args.design)
     letters = sorted(rows[0].levels)
     full = rsm.full_quadratic(letters, args.power)
-    reduced, steps, _, table = rsm._eliminate(rows, full, args.alpha, coding)
+    reduced, steps = rsm.backward_eliminate(rows, full, args.alpha, coding)
+    table = rsm.anova(rsm.fit(rows, reduced, coding), rows)
     active = [PsfId.from_letter(l) for l in letters]
     report = rsm.screen_psfs(reduced, active, table.term_pvalues())
     print(f"reduced model: {reduced.to_text()}")

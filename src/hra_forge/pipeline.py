@@ -34,11 +34,14 @@ from .rsm import (
     EliminationStep,
     FitResult,
     ScreeningReport,
-    _eliminate,
+    anova,
     anova_csv_text,
     back_transform,
+    backward_eliminate,
+    check_alpha,
     check_response_power,
     evaluate_design,
+    fit,
     full_quadratic,
     generate_ccd,
     infer_coding,
@@ -46,9 +49,6 @@ from .rsm import (
     screening_text,
     uniform_coding,
 )
-# Not called here; kept as module names because perfbench/spans.py wraps
-# them in this namespace when tracing.
-from .rsm import anova, backward_eliminate, fit  # noqa: F401
 
 REASON_CONVERGED = "no-elimination"
 REASON_MAX_ITERATIONS = "max-iterations"
@@ -75,8 +75,7 @@ class PipelineConfig:
     max_iterations: int = 10
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise InputError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if self.max_iterations < 1:
             raise InputError("max_iterations must be >= 1")
         check_response_power(self.response_power)
@@ -172,7 +171,9 @@ def _run_iteration(
         rows = evaluate_design(rows, predictor)
 
     full = full_quadratic(letters, config.response_power)
-    reduced, steps, reduced_fit, table = _eliminate(rows, full, config.alpha, coding)
+    reduced, steps = backward_eliminate(rows, full, config.alpha, coding)
+    reduced_fit = fit(rows, reduced, coding)
+    table = anova(reduced_fit, rows)
     screening = screen_psfs(reduced, active, table.term_pvalues())
 
     return IterationRecord(

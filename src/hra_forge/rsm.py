@@ -120,6 +120,12 @@ def check_response_power(power: float) -> None:
         raise InputError("response power must be a positive real")
 
 
+def check_alpha(alpha: float) -> None:
+    """The one rule for a significance level: strictly between 0 and 1."""
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A hierarchical term set plus the response-transform exponent.
@@ -322,21 +328,6 @@ def _least_squares(X: np.ndarray, z: np.ndarray):
         return coef, rank, fitted, z - fitted
 
 
-def _fit_result(spec, coding, ranges, X, z, sst, coef, fitted, residuals) -> FitResult:
-    sse = float(residuals @ residuals)
-    return FitResult(
-        spec=spec,
-        coding=coding,
-        coefficients=dict(zip(spec.terms, (float(c) for c in coef))),
-        fitted=fitted,
-        residuals=residuals,
-        r2=1.0 - sse / sst if sst > 0 else 1.0,
-        coded_ranges=ranges,
-        matrix=X,
-        transformed=z,
-    )
-
-
 def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> FitResult:
     """Ordinary least squares of response**power on the coded model columns."""
     if not rows:
@@ -368,11 +359,21 @@ def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> Fit
         raise NumericalError(
             f"response power {spec.response_power:g} overflows the sums of squares"
         )
-    ranges = {
-        l: (float(lo), float(hi))
-        for l, lo, hi in zip(letters, coded.min(axis=0), coded.max(axis=0))
-    }
-    return _fit_result(spec, coding, ranges, X, z, sst, coef, fitted, residuals)
+    sse = float(residuals @ residuals)
+    return FitResult(
+        spec=spec,
+        coding=coding,
+        coefficients=dict(zip(spec.terms, (float(c) for c in coef))),
+        fitted=fitted,
+        residuals=residuals,
+        r2=1.0 - sse / sst if sst > 0 else 1.0,
+        coded_ranges={
+            l: (float(lo), float(hi))
+            for l, lo, hi in zip(letters, coded.min(axis=0), coded.max(axis=0))
+        },
+        matrix=X,
+        transformed=z,
+    )
 
 
 # --- ANOVA -------------------------------------------------------------------
@@ -425,8 +426,9 @@ def _term_tests(matrix: np.ndarray, coef: np.ndarray, ms_error: float):
     rules: SS is b_i^2 / [(X'X)^-1]_ii, floored at 0, and its mean square;
     ms_error 0 gives F = inf. With X = QR the diagonal of (X'X)^-1 =
     R^-1 R^-T is the row sums of R^-1 squared elementwise. Every test has
-    one numerator df and the residual df, so P(F > f) falls as F rises and
-    the caller computes only the p-values it needs."""
+    one numerator df and the residual df, so P(F > f) falls as F rises:
+    ``anova`` takes every term's p-value, ``backward_eliminate`` only the
+    p-value of the smallest removable F in each pass."""
     r_inv = np.linalg.inv(np.linalg.qr(matrix, mode="r"))
     ss = np.maximum(coef * coef / (r_inv * r_inv).sum(axis=1), 0.0)
     if ms_error > 0:
@@ -485,11 +487,13 @@ def anova(fit_result: FitResult, rows: Sequence[DesignRow]) -> AnovaTable:
     agree within 1e-9 relative, and term SS and F within 1e-9 relative to
     max(F, 1): below F = 1 the refit's own difference of two SSEs carries
     rounding of about eps * SSE. One F rule tests the Model row
-    (``_f_test``) and the term rows (``_term_tests``, which elimination's
-    passes share, and ``dist.f_sf``) against the residual mean square, and
-    Lack of Fit against pure error. Without replicate rows the lack-of-fit
-    partition is omitted; a constant transformed response leaves no F
-    defined and raises NumericalError.
+    (``_f_test``) and the term rows (``_term_tests``, which the passes of
+    ``backward_eliminate`` share, and ``dist.f_sf``) against the residual
+    mean square, and Lack of Fit against pure error. Elimination returns
+    the reduced spec only; its table is ``anova(fit(rows, reduced, coding),
+    rows)``. Without replicate rows the lack-of-fit partition is omitted; a
+    constant transformed response leaves no F defined and raises
+    NumericalError.
     """
     spec = fit_result.spec
     z = fit_result.transformed
@@ -548,46 +552,32 @@ def backward_eliminate(
 ):
     """Remove the weakest term until everything removable is significant.
 
+    Returns (reduced spec, steps). The trail builds no fit or ANOVA table of
+    the reduced spec: a caller that reports them calls ``fit`` and ``anova``
+    on it, which give the same bytes as the trail's last pass.
+
     The weakest term is the removable term with the smallest partial F
     (ties broken by canonical term order). Every partial test of a pass has
     one numerator df and the same residual df, so it is also the removable
     term with the largest p-value, and each pass computes that one p-value:
     the term goes if p > alpha, and elimination stops otherwise. Main
     effects are not removable while any interaction or quadratic child
-    survives, so the result stays hierarchical. Each pass refits a subset
-    of the full spec's model columns with ``fit``'s arithmetic and tests it
-    with ``anova``'s, so every step's p-value and ``sse_after`` (the SSE
-    once the term is gone) are those of ``anova(fit(...))`` on that spec.
-    Returns (reduced spec, steps).
+    survives, so the result stays hierarchical.
+
+    One ``fit`` of the full spec (the trail's only rank and overflow check)
+    gives the model matrix X_full and the transformed response z; the
+    corrected total, the pure-error SS and each term's parent columns
+    follow. A pass is a list of kept column indices: it refits a
+    C-contiguous copy of those columns of X_full (a strided view would take
+    another BLAS path and move SSEs in the last digits) with ``fit``'s OLS
+    core, tests every column at once with ``anova``'s ``_term_tests`` and
+    keeps ``anova``'s additivity checks, so every step's p-value and
+    ``sse_after`` (the SSE once the term is gone) are those of
+    ``anova(fit(...))`` on that spec. Deleting columns can neither lower
+    the smallest singular value nor raise the largest, so every kept subset
+    has full rank when X_full has.
     """
-    spec, steps, _, _ = _eliminate(rows, full_spec, alpha, coding)
-    return spec, steps
-
-
-def _eliminate(
-    rows: Sequence[DesignRow],
-    full_spec: ModelSpec,
-    alpha: float,
-    coding: FactorCoding,
-):
-    """``backward_eliminate`` plus the reduced spec's fit and ANOVA table:
-    (spec, steps, fit, table).
-
-    The trail is built once: one ``fit`` of the full spec (its only rank and
-    overflow check) gives the model matrix X_full and the transformed
-    response z; the corrected total, the pure-error SS and each term's
-    parent columns follow. A pass is a list of kept column indices: it
-    refits a C-contiguous copy of those columns of X_full (a strided view
-    would take another BLAS path and move SSEs in the last digits), tests
-    every column at once with ``_term_tests``, keeps ``anova``'s additivity
-    checks and drops the removable column with the smallest F while its p
-    is above alpha. Deleting columns can neither lower the smallest
-    singular value nor raise the largest, so every kept subset has full
-    rank when X_full has. Only the reduced spec gets a ModelSpec,
-    FitResult and AnovaTable.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise InputError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     full = fit(rows, full_spec, coding)
     X_full, z = full.matrix, full.transformed
     ss_total = _corrected_total(z, full_spec.response_power)
@@ -626,9 +616,7 @@ def _eliminate(
         coef, _, fitted, residuals = _least_squares(X, z)
         steps.append(EliminationStep(term, p_value, float(residuals @ residuals)))
     spec = ModelSpec(tuple(terms[j] for j in cols), full_spec.response_power)
-    reduced = _fit_result(spec, coding, full.coded_ranges, X, z, ss_total,
-                          coef, fitted, residuals)
-    return spec, tuple(steps), reduced, anova(reduced, rows)
+    return spec, tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -701,13 +689,18 @@ def predict_response(fit_result: FitResult, point: Mapping[str, float]) -> Predi
 
     The polynomial gives the transformed response; ``back_transform`` maps it
     back to the 0..100 reliability scale and flags a clamped value. Points
-    outside the design's coded range are flagged as extrapolation.
+    outside the design's coded range are flagged as extrapolation; a
+    non-finite level raises InputError naming its factor.
     """
     letters = sorted(fit_result.coded_ranges)
     missing = [l for l in letters if l not in point]
     if missing:
         raise InputError(f"prediction point lacks factors: {missing}")
-    coded = np.array([[fit_result.coding.code(l, float(point[l])) for l in letters]])
+    levels = [float(point[l]) for l in letters]
+    for letter, level in zip(letters, levels):
+        if not math.isfinite(level):
+            raise InputError(f"prediction point: factor {letter} level {level} is not finite")
+    coded = np.array([[fit_result.coding.code(l, v) for l, v in zip(letters, levels)]])
     lo, hi = np.array([fit_result.coded_ranges[l] for l in letters]).T
     extrapolated = bool(((coded < lo - 1e-9) | (coded > hi + 1e-9)).any())
     b = np.array([fit_result.coefficients[t] for t in fit_result.spec.terms])

@@ -258,13 +258,14 @@ class TestScreenCommand:
         assert capsys.readouterr().out == default
         assert "; power=3\n" in default
 
-    def test_screen_reuses_elimination_fit_and_anova(self, monkeypatch, capsys):
-        # one fit of the full spec and one ANOVA of the reduced spec
+    def test_screen_fits_full_and_reduced_spec_once(self, monkeypatch, capsys):
+        # one fit of the full spec in the trail, then one fit and one ANOVA
+        # of the reduced spec
         calls = count_calls(monkeypatch, ("fit", "anova"), rsm)
         assert main(["screen"]) == 0
         removed = [l for l in capsys.readouterr().out.splitlines() if l.startswith("removed ")]
         assert int(removed[0].split()[1]) > 0
-        assert calls == {"fit": 1, "anova": 1}
+        assert calls == {"fit": 2, "anova": 1}
 
     @pytest.mark.parametrize("power", ["100", "200"])
     def test_overflowing_power_exit_4(self, power, capsys):

@@ -46,13 +46,40 @@ def test_instrument_wraps_traces_and_undoes():
         assert changed, "instrument wrapped nothing"
         for owner, name in changed:
             assert getattr(owner, name).__wrapped__ is before[(owner, name)]
+        # the screen workload's pass: the trail, then the reduced spec's table
         rows = bundled_table4()
-        rsm.backward_eliminate(
-            rows, full_quadratic(sorted(rows[0].levels), 3.0), 0.05, infer_coding(rows)
+        coding = infer_coding(rows)
+        reduced, _ = rsm.backward_eliminate(
+            rows, full_quadratic(sorted(rows[0].levels), 3.0), 0.05, coding
         )
+        rsm.anova(rsm.fit(rows, reduced, coding), rows)
     finally:
         undo()
     names = [span[0] for span in tracer.spans]
-    assert names[0] == "rsm.backward_eliminate"
-    assert "rsm.fit" in names and "rsm.anova" in names
+    assert names == ["rsm.backward_eliminate", "rsm.fit", "rsm.fit", "rsm.anova"]
     assert wrapped_names() == before
+
+
+def test_pipeline_elimination_is_traced():
+    """A traced pipeline iteration records its elimination stage: the trail
+    and the reduced spec's fit and table, through the pipeline's own names."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    undo = spans.instrument(tracer, hra_forge)
+    try:
+        result = pipeline.run(dataset.bundled_case_study(), pipeline.PipelineConfig(
+            training=ann.TrainingConfig(n_replications=1, max_epochs=200),
+            initial_design=tuple(bundled_table4()),
+            max_iterations=1,
+        ))
+    finally:
+        undo()
+    steps = len(result.iterations[0].elimination_steps)
+    assert steps > 0
+    recorded = {}
+    for name, _, _, _, n in tracer.spans:
+        if name.startswith("pipeline."):
+            recorded.setdefault(name, []).append(n)
+    assert recorded["pipeline.backward_eliminate"] == [steps]
+    assert len(recorded["pipeline.fit"]) == 1
+    assert len(recorded["pipeline.anova"]) == 1

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -116,15 +117,16 @@ class TestLoopControl:
         for rel in files_a:
             assert (dir_a / rel).read_bytes() == (dir_b / rel).read_bytes()
 
-    def test_iteration_reuses_elimination_fit_and_anova(self, monkeypatch):
-        # elimination fits the full spec once and tabulates the reduced spec once
+    def test_iteration_fits_full_and_reduced_spec_once(self, monkeypatch):
+        # elimination fits the full spec; the iteration fits and tabulates the
+        # reduced spec once
         calls = count_calls(monkeypatch, ("fit", "anova"), rsm, pipeline)
         result = run(bundled_case_study(), reference_config(
             training=TrainingConfig(n_replications=1, max_epochs=200), max_iterations=1,
         ))
         steps = len(result.iterations[0].elimination_steps)
         assert steps > 0
-        assert calls == {"fit": 1, "anova": 1}
+        assert calls == {"fit": 2, "anova": 1}
 
     def test_initial_design_letter_mismatch(self):
         rows = bundled_table4()
@@ -177,6 +179,16 @@ class TestLoopControl:
             PipelineConfig(response_power=power)
         with pytest.raises(InputError, match=message):
             rsm.full_quadratic("ABC", power)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, math.nan, math.inf])
+    def test_alpha_rule_shared_with_elimination(self, alpha):
+        message = "^" + re.escape(f"alpha must be in (0, 1), got {alpha}") + "$"
+        with pytest.raises(InputError, match=message):
+            PipelineConfig(alpha=alpha)
+        rows = bundled_table4()
+        full = rsm.full_quadratic(sorted(rows[0].levels), 3.0)
+        with pytest.raises(InputError, match=message):
+            rsm.backward_eliminate(rows, full, alpha, rsm.infer_coding(rows))
 
     def test_empty_initial_design_rejected(self):
         with pytest.raises(InputError, match="initial design has no runs"):

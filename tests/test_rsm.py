@@ -399,7 +399,7 @@ class TestQrAnovaMatchesColumnDeletion:
         for letters, coding, rows in cases:
             full = full_quadratic(letters, 3.0)
             reduced, steps = backward_eliminate(rows, full, 0.05, coding)
-            want_reduced, want_steps, _, _ = refit_trail(
+            want_reduced, want_steps = refit_trail(
                 rows, full, 0.05, coding, column_deletion_anova
             )
             assert reduced == want_reduced
@@ -416,7 +416,7 @@ class TestQrAnovaMatchesColumnDeletion:
 def refit_trail(rows, spec, alpha, coding, table_of=anova):
     """Backward elimination by refitting: one ``fit`` and one ``table_of``
     table per spec, as elimination ran before its passes kept column
-    indices of one model matrix. Returns (spec, steps, fit, table)."""
+    indices of one model matrix. Returns (spec, steps)."""
     current = fit(rows, spec, coding)
     steps = []
     while True:
@@ -428,7 +428,7 @@ def refit_trail(rows, spec, alpha, coding, table_of=anova):
             if p > alpha and term not in protected
         ]
         if not candidates:
-            return spec, tuple(steps), current, table
+            return spec, tuple(steps)
         term, p = min(candidates, key=lambda tp: (-tp[1], tp[0]))
         spec = spec.without(term)
         current = fit(rows, spec, coding)
@@ -437,7 +437,7 @@ def refit_trail(rows, spec, alpha, coding, table_of=anova):
 
 class TestColumnIndexTrailMatchesRefitting:
     """Elimination on column indices of one matrix equals refitting each
-    spec, bit for bit: spec, steps, the final fit and the final table."""
+    spec, bit for bit: the reduced spec and every step, p-values included."""
 
     @staticmethod
     def cases():
@@ -459,19 +459,10 @@ class TestColumnIndexTrailMatchesRefitting:
         total_steps = 0
         for letters, coding, rows, power, alpha in self.cases():
             full = full_quadratic(letters, power)
-            spec, steps, got_fit, got_table = rsm._eliminate(rows, full, alpha, coding)
-            want_spec, want_steps, want_fit, want_table = refit_trail(
-                rows, full, alpha, coding
-            )
+            spec, steps = backward_eliminate(rows, full, alpha, coding)
+            want_spec, want_steps = refit_trail(rows, full, alpha, coding)
             assert spec == want_spec
             assert steps == want_steps
-            assert got_fit.spec == want_fit.spec
-            assert got_fit.coefficients == want_fit.coefficients
-            assert np.array_equal(got_fit.matrix, want_fit.matrix)
-            assert np.array_equal(got_fit.fitted, want_fit.fitted)
-            assert np.array_equal(got_fit.residuals, want_fit.residuals)
-            assert got_fit.r2 == want_fit.r2
-            assert got_table == want_table
             total_steps += len(steps)
         assert total_steps > 100
 
@@ -814,7 +805,8 @@ class TestBackwardElimination:
         ]
 
     def test_each_spec_fit_once(self, monkeypatch):
-        # one fit of the full spec and one ANOVA of the reduced spec per trail
+        # one fit of the full spec per trail, and no table: the caller
+        # tabulates the reduced spec
         rows = bundled_table4()
         coding = infer_coding(rows)
         full = full_quadratic(sorted(rows[0].levels), 3.0)
@@ -822,7 +814,7 @@ class TestBackwardElimination:
         calls = count_calls(monkeypatch, ("fit", "anova"), rsm)
         _, steps = backward_eliminate(rows, full, 0.05, coding)
         assert len(steps) == 37
-        assert calls == {"fit": 1, "anova": 1}
+        assert calls == {"fit": 1, "anova": 0}
         # sse_after is the SSE of the spec left after removing the step's term
         spec = full
         for step in steps:
@@ -950,6 +942,14 @@ class TestPrediction:
         result = fit(rows, PAPER_SPEC, infer_coding(rows))
         with pytest.raises(InputError):
             predict_response(result, {"A": 0.5})
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_level_rejected(self, level):
+        rows = bundled_table4()
+        result = fit(rows, PAPER_SPEC, infer_coding(rows))
+        point = dict(rows[0].levels, D=level)
+        with pytest.raises(InputError, match=f"factor D level {level} is not finite"):
+            predict_response(result, point)
 
 
 class TestEvaluateDesign:

@@ -8,29 +8,32 @@ Two CSV shapes are understood:
   are a subset of A..H in alphabetical order (the bundled design uses all
   eight; reduced designs produced after factor elimination use fewer).
 
-An observation file is parsed in blocks of ``_BLOCK_ROWS`` rows, each checked
-in one pass over its columns, so a load holds one block's cells at a time. The
-error still names the earliest faulty row of the file and, within it, the
-first failed rule of: the cell count; each PSF cell, then hep, is a number;
-hep is in [0, 1]; trials is empty or an integer; each multiplier is finite and
-> 0; trials >= 1. Duplicate ids are reported only when no row is faulty.
+An observation file named by path is read through ``ioutil.load_lines``, about
+1 MiB of text at a time, and its lines are parsed in blocks of ``_BLOCK_ROWS``
+rows, each checked in one pass over its columns. So a load holds one chunk's
+text and lines and one block's cells at a time. The error still names the
+earliest faulty row of the file and, within it, the first failed rule of: the
+cell count; each PSF cell, then hep, is a number; hep is in [0, 1]; trials is
+empty or an integer; each multiplier is finite and > 0; trials >= 1. Duplicate
+ids are reported only when no row is faulty.
 
 The bundled fixtures are the 15-instance case study and the 60-run
 eight-factor screening design; ``ioutil`` checks their digests at load.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError
 from .ioutil import atomic_write_text, bundled_text, csv_lines, csv_rows, csv_text, load
-from .ioutil import parse_float, parse_int
+from .ioutil import load_lines, parse_float, parse_int
 from .psf import PSF_ORDER, Probability, PsfId, PsfVector
 
 _OBS_COLUMNS = tuple(["id"] + [p.column for p in PSF_ORDER] + ["hep"])
@@ -215,30 +218,38 @@ def load_observations(source) -> ObservationSet:
     """Load an observation CSV from a path, text, or file object.
 
     Errors name the file (for a path), row and column. Row order is preserved.
+    A path is read a chunk at a time, through ``ioutil.load_lines``.
     """
-    return _slurp(source, _parse_observation_columns)
+    text = _source_text(source)
+    if text is None:
+        return load_lines(str(source), _parse_observation_columns)
+    return _parse_observation_columns([csv_lines(text)])
 
 
-def _parse_observation_columns(text: str) -> ObservationSet:
-    """Observations parsed column by column with Python ``float``, in blocks of
+def _parse_observation_columns(chunks: Iterable[list[str]]) -> ObservationSet:
+    """Observations from a file's non-blank lines, given as lists of lines in
+    file order, parsed column by column with Python ``float`` in blocks of
     ``_BLOCK_ROWS`` rows. Blocks run in row order and the first that holds a
     fault raises it, so the fault raised is the first one."""
-    lines = csv_lines(text)
-    if not lines:
+    lines = itertools.chain.from_iterable(chunks)
+    first = next(lines, None)
+    if first is None:
         raise InputError("observations file is empty (expected a header row)")
-    header = tuple(cell.strip() for cell in lines[0].split(","))
+    header = tuple(cell.strip() for cell in first.split(","))
     if header not in (_OBS_COLUMNS, _OBS_COLUMNS_TRIALS):
         raise InputError(
             f"unknown observations header: expected {','.join(_OBS_COLUMNS)} (optionally "
             f"with a trailing trials column), got {','.join(header)}"
         )
-    numbers = np.empty((9, len(lines) - 1))
-    ids, trials = [], []
-    for start in range(0, len(lines) - 1, _BLOCK_ROWS):
-        block = lines[1 + start : 1 + start + _BLOCK_ROWS]
-        block_ids, block_trials = _parse_block(block, start, len(header), numbers[:, start:])
+    blocks, ids, trials = [], [], []
+    while block := list(itertools.islice(lines, _BLOCK_ROWS)):
+        numbers = np.empty((9, len(block)))
+        block_ids, block_trials = _parse_block(block, len(ids), len(header), numbers)
+        blocks.append(numbers)
         ids += block_ids
         trials += block_trials
+    numbers = np.concatenate(blocks, axis=1) if blocks else np.empty((9, 0))
+    del blocks  # freed before the set copies the columns
     return ObservationSet(ids, numbers[:8].T, numbers[8], trials)
 
 
@@ -266,10 +277,18 @@ def _parse_block(lines: list[str], offset: int, width: int, numbers: np.ndarray)
         fault = f"row {offset + n + 1}: hep {float(numbers[8, n])} outside [0, 1]"
     block_trials = [None] * n
     if width > 10:
-        block_trials, fault = _parse_cells(
-            cells[10 : n * width : width], _parse_trials, "trials", offset, fault
-        )
-        n = len(block_trials)
+        try:
+            values = list(map(float, cells[10 : n * width : width]))
+            whole = all(map(float.is_integer, values))  # false for nan and +-inf
+        except ValueError:
+            whole = False
+        if whole:
+            block_trials = list(map(int, values))
+        else:  # an empty or faulty cell: parse cell by cell to the first fault
+            block_trials, fault = _parse_cells(
+                cells[10 : n * width : width], _parse_trials, "trials", offset, fault
+            )
+            n = len(block_trials)
     psf_ok = (numbers[:8, :n] > 0.0) & (numbers[:8, :n] < math.inf)
     if not psf_ok.all():
         n = int(np.argmin(psf_ok.all(axis=0)))
@@ -376,16 +395,20 @@ def save_design(rows: Sequence[DesignRow], sink) -> None:
 
 
 def _slurp(source, parse):
-    """``parse`` of the text of a file object, of CSV text, or of a path's file.
+    """``parse`` of the text of a file object, of CSV text, or of a path's file,
+    read through ``ioutil.load`` so its errors name it."""
+    text = _source_text(source)
+    return load(str(source), parse) if text is None else parse(text)
 
-    A string is CSV text only when it holds a newline, so a path may contain
-    commas. A path is read through ``ioutil.load``, so its errors name it.
-    """
+
+def _source_text(source) -> Optional[str]:
+    """The text of a file object or of CSV text; None for a path. A string is
+    CSV text only when it holds a newline, so a path may contain commas."""
     if hasattr(source, "read"):
         data = source.read()
-        return parse(data.decode("utf-8") if isinstance(data, bytes) else data)
+        return data.decode("utf-8") if isinstance(data, bytes) else data
     text = str(source)
-    return parse(text) if "\n" in text else load(text, parse)
+    return text if "\n" in text else None
 
 
 def _emit(sink, text: str) -> None:

@@ -1,13 +1,15 @@
 """The file boundary: user files and bundled fixtures in, output files out.
 
-A user-named file is read through :func:`load`, so an unreadable or
-undecodable file, and any fault its parser finds, is an InputError naming
-it. Bundled fixtures are checksummed at load, so an accidental edit fails
-loudly. Output is written to a temporary name and renamed into place, so
-readers never see a half-written file. CSV tables have one dialect, written
-by :func:`csv_text` and read by :func:`csv_rows`: no quoting, numbers at 17
-significant digits (exact double round-trip), an empty cell for a missing
-value, data rows numbered from 1 after the header. Console output carries 4.
+A user-named file is read through :func:`load`, or through
+:func:`load_lines` when its parser takes the lines a chunk at a time, so an
+unreadable or undecodable file, and any fault its parser finds, is an
+InputError naming it. Bundled fixtures are checksummed at load, so an
+accidental edit fails loudly. Output is written to a temporary name and
+renamed into place, so readers never see a half-written file. CSV tables
+have one dialect, written by :func:`csv_text` and read by :func:`csv_rows`:
+no quoting, numbers at 17 significant digits (exact double round-trip), an
+empty cell for a missing value, data rows numbered from 1 after the header.
+Console output carries 4.
 """
 import contextlib
 import errno
@@ -25,6 +27,13 @@ _FIXTURE_SHA256 = {
     "multipliers.csv": "46ae2593b74d3c54a0dcb3d2d98f4d67e9d0e1df753c9535fb554b2737d91b81",
 }
 
+
+# Characters read at a time by load_lines: about 1 MiB of ASCII text.
+_CHUNK_CHARS = 1 << 20
+
+# The line breaks of str.splitlines other than "\r" (a text stream read
+# with universal newlines has none left).
+_LINE_BREAKS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 #: The %-format of a number in a CSV cell: 17 significant digits.
 FULL = "%.17g"
@@ -59,7 +68,7 @@ def _cell(value) -> str:
 
 def csv_lines(text: str) -> list[str]:
     """The non-blank lines of CSV text: the header, then data rows 1, 2, ..."""
-    return [raw for raw in text.splitlines() if raw.strip() != ""]
+    return list(filter(str.strip, text.splitlines()))
 
 
 def csv_rows(text: str) -> list[list[str]]:
@@ -96,6 +105,48 @@ def load(path, parse):
         raise InputError(f"cannot read {path}: {exc}") from exc
     with naming(path):
         return parse(text)
+
+
+def load_lines(path, parse):
+    """``parse`` of the non-blank lines of the UTF-8 file at ``path``, read
+    ``_CHUNK_CHARS`` characters at a time.
+
+    ``parse`` takes an iterable of lists of lines, in file order, which
+    together are the :func:`csv_lines` of the file's text, so the file is
+    never held whole. Errors read as :func:`load`'s, with the same
+    precedence: a byte that is not UTF-8 anywhere in the file is "cannot
+    read PATH: ..." even when ``parse`` has failed on an earlier line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                with naming(path):
+                    return parse(_line_chunks(handle))
+            except InputError:
+                while handle.read(_CHUNK_CHARS):  # a later bad byte wins
+                    pass
+                raise
+    except UnicodeDecodeError:
+        # the codec counts the bad byte's position from the start of its
+        # chunk; reading the file whole gives load's message, with the
+        # position counted from the start of the file
+        return load(path, lambda text: parse([csv_lines(text)]))
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _line_chunks(handle):
+    """The :func:`csv_lines` of a text stream, one list per chunk read. The
+    stream reads with universal newlines, so every line break left is one
+    character, and a line cut by a chunk's end is carried into the next."""
+    carry = ""
+    while chunk := handle.read(_CHUNK_CHARS):
+        lines = chunk.splitlines()
+        lines[0] = carry + lines[0]
+        carry = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
+        yield list(filter(str.strip, lines))
+    if carry.strip():
+        yield [carry]
 
 
 @contextlib.contextmanager
@@ -142,10 +193,19 @@ def check_writable(path) -> None:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path atomically (temp file + rename, same directory)."""
+    """Write text to path atomically (temp file + rename, same directory).
+
+    The file gets mode ``0o666 & ~umask``, as a new file from ``open`` does,
+    also when it replaces an existing file.
+    """
     path = os.fspath(path)
     fd, tmp = _temp_beside(path)
     try:
+        # mkstemp makes the file 0600; give it the mode open(path, "w") gives
+        # a new file
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)

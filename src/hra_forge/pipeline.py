@@ -10,10 +10,11 @@ factors would remain, or at the iteration cap.
 """
 from __future__ import annotations
 
+import operator
 import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -227,19 +228,42 @@ class ComparisonReport:
     def mse_delta(self) -> float:
         return self.mse_after - self.mse_before
 
-    @cached_property
-    def rows(self) -> tuple[ComparisonRow, ...]:
-        return tuple(
-            ComparisonRow(*cells)
-            for cells in zip(
-                self.ids,
-                self.observed.tolist(),
-                self.predicted_before.tolist(),
-                self.predicted_after.tolist(),
-                self.se_before.tolist(),
-                self.se_after.tolist(),
+    @property
+    def rows(self) -> "ComparisonRows":
+        return ComparisonRows(self)
+
+
+class ComparisonRows(Sequence):
+    """A read-only view of a ComparisonReport as one ComparisonRow per row.
+
+    Each row is built from the report's columns when it is read, and none is
+    kept; iteration converts ``_BLOCK_ROWS`` rows of the columns at a time.
+    """
+
+    __slots__ = ("_report",)
+
+    def __init__(self, report: ComparisonReport):
+        self._report = report
+
+    def _columns(self):
+        r = self._report
+        return r.observed, r.predicted_before, r.predicted_after, r.se_before, r.se_after
+
+    def __len__(self) -> int:
+        return len(self._report.ids)
+
+    def __getitem__(self, index: int) -> ComparisonRow:
+        i = range(len(self))[operator.index(index)]
+        return ComparisonRow(self._report.ids[i], *(c[i].item() for c in self._columns()))
+
+    def __iter__(self) -> Iterator[ComparisonRow]:
+        for start in range(0, len(self), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            yield from map(
+                ComparisonRow,
+                self._report.ids[rows],
+                *(c[rows].tolist() for c in self._columns()),
             )
-        )
 
 
 def _squared_errors(predicted, observed) -> np.ndarray:

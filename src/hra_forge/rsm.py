@@ -690,16 +690,24 @@ def predict_response(fit_result: FitResult, point: Mapping[str, float]) -> Predi
     The polynomial gives the transformed response; ``back_transform`` maps it
     back to the 0..100 reliability scale and flags a clamped value. Points
     outside the design's coded range are flagged as extrapolation; a
-    non-finite level raises InputError naming its factor.
+    non-finite level, or an int too large for a float, raises InputError
+    naming its factor.
     """
     letters = sorted(fit_result.coded_ranges)
     missing = [l for l in letters if l not in point]
     if missing:
         raise InputError(f"prediction point lacks factors: {missing}")
-    levels = [float(point[l]) for l in letters]
-    for letter, level in zip(letters, levels):
+    levels = []
+    for letter in letters:
+        try:
+            level = float(point[letter])
+        except OverflowError:  # an int too large for a float
+            raise InputError(
+                f"prediction point: factor {letter} level is too large for a float"
+            ) from None
         if not math.isfinite(level):
             raise InputError(f"prediction point: factor {letter} level {level} is not finite")
+        levels.append(level)
     coded = np.array([[fit_result.coding.code(l, v) for l, v in zip(letters, levels)]])
     lo, hi = np.array([fit_result.coded_ranges[l] for l in letters]).T
     extrapolated = bool(((coded < lo - 1e-9) | (coded > hi + 1e-9)).any())

@@ -121,6 +121,31 @@ def test_criterion_4_screening():
     )
 
 
+def test_paper_verdict_at_alpha_0_10():
+    """The paper's verdict on its own design: the trail on table4 at alpha
+    0.10 ends at the paper's spec less AF, whose p the paper's model also
+    gives AF, and only Procedures is left with no term. Iteration 1 of the
+    pipeline screens table4's own responses, so no training is needed."""
+    rows = hf.bundled_table4()
+    letters = sorted(rows[0].levels)
+    reduced, steps = hf.backward_eliminate(
+        rows, hf.full_quadratic(letters, 3.0), 0.10, hf.infer_coding(rows)
+    )
+    eliminated = [p.name for p in hf.screen_psfs(reduced, list(PSF_ORDER)).eliminated]
+    last = steps[-1]
+    report(
+        "paper verdict (table4, alpha 0.10)",
+        len(steps) == 30
+        and reduced.to_text()
+        == "1, A, B, C, D, F, G, H, AD, BD, BF, BG, DF, C^2, D^2; power=3"
+        and str(last.term) == "AF"
+        and abs(last.p_value - 0.16154) <= 5e-6
+        and eliminated == ["Procedures"],
+        f"{len(steps)} steps, keeps {reduced.to_text()!r}, last step {last.term} at "
+        f"p = {last.p_value:.5f}, eliminates {eliminated}",
+    )
+
+
 def test_criterion_5_trainability():
     t0 = time.perf_counter()
     obs = hf.bundled_table2()

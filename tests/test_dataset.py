@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hra_forge import dataset
+from hra_forge import dataset, ioutil
 from hra_forge.dataset import (
     DesignRow,
     Instance,
@@ -119,8 +119,13 @@ def _outcome(load, text):
 
 
 def _columnar_instances(text):
+    """The instances of ``text`` loaded from a file object."""
+    return _loaded_instances(io.StringIO(text))
+
+
+def _loaded_instances(source):
     """The loaded set's instances, checked against the set's own columns."""
-    obs = load_observations(io.StringIO(text))
+    obs = load_observations(source)
     rows = _rows_of(obs.instances)
     columns = [
         (i, tuple(v.hex() for v in psfs), h.hex(), t)
@@ -401,38 +406,57 @@ def _text(lines):
     return "\n".join(lines) + "\n"
 
 
+def _path_outcome(path):
+    """The outcome of loading the file at ``path``, its error message without
+    the ``"PATH: "`` prefix a path's errors carry."""
+    kind, got = _outcome(_loaded_instances, str(path))
+    return kind, got.removeprefix(f"{path}: ") if kind == "error" else got
+
+
+def _every_source_outcome(text, tmp_path):
+    """The outcome of ``text`` loaded as a file object, which every other
+    source must match: the text itself and a file holding it."""
+    expected = _outcome(_columnar_instances, text)
+    path = tmp_path / "obs.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _path_outcome(path) == expected
+    if "\n" in text:  # a string with no newline is a path
+        assert _outcome(_loaded_instances, text) == expected
+    return expected
+
+
 class TestBlockBoundaries:
     """Files around the loader's block size, against the legacy loader."""
 
     @pytest.mark.parametrize("trials", [False, True])
     @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 1])
-    def test_valid_files(self, n, trials):
+    def test_valid_files(self, tmp_path, n, trials):
         text = _text(_block_lines(n, trials))
         expected = _outcome(legacy_load_observations, text)
         assert expected[0] == "ok" and len(expected[1]) == n
-        assert _outcome(_columnar_instances, text) == expected
+        assert _every_source_outcome(text, tmp_path) == expected
 
     @pytest.mark.parametrize("kind", sorted(_BOUNDARY_FAULTS))
     @pytest.mark.parametrize("row", [B - 1, B, B + 1, 2 * B])
-    def test_one_fault(self, row, kind):
+    def test_one_fault(self, tmp_path, row, kind):
         text = _text(_doctored(_block_lines(2 * B + 1), [(row, kind)]))
         expected = _outcome(legacy_load_observations, text)
         assert expected[0] == "error" and expected[1].startswith(f"row {row}: ")
-        assert _outcome(_columnar_instances, text) == expected
+        assert _every_source_outcome(text, tmp_path) == expected
 
-    def test_two_faults(self):
+    def test_two_faults(self, tmp_path):
         """Every two of the faults, in one row or in two of rows B-1, B, B+1, 2B."""
         lines = _block_lines(2 * B + 1)
         faults = itertools.product([B - 1, B, B + 1, 2 * B], sorted(_BOUNDARY_FAULTS))
         for pair in itertools.combinations(faults, 2):
             text = _text(_doctored(lines, pair))
-            assert _outcome(_columnar_instances, text) == _outcome(
+            assert _every_source_outcome(text, tmp_path) == _outcome(
                 legacy_load_observations, text
             ), pair
 
     @pytest.mark.parametrize("fault_row", [None, B, B + 1])
     @pytest.mark.parametrize("blank_before_row", [B - 1, B, B + 1, B + 2])
-    def test_blank_lines_near_a_boundary(self, blank_before_row, fault_row):
+    def test_blank_lines_near_a_boundary(self, tmp_path, blank_before_row, fault_row):
         lines = _block_lines(2 * B + 1)
         if fault_row is not None:
             lines = _doctored(lines, [(fault_row, "hep out of range")])
@@ -444,32 +468,104 @@ class TestBlockBoundaries:
             assert expected[0] == "ok" and len(expected[1]) == 2 * B + 1
         else:
             assert expected == ("error", f"row {fault_row}: hep 1.5 outside [0, 1]")
-        assert _outcome(_columnar_instances, text) == expected
+        assert _every_source_outcome(text, tmp_path) == expected
 
-    def test_40k_row_load_peak_memory(self, tmp_path):
+    def test_40k_row_load_peak_memory(self, tasks_40k):
         # The score workload's task file: 40k rows with a trials column,
         # 7 MB of text. Bound: a tracemalloc peak below 35 MB. Measured about
         # 29 MB when parsed in blocks, 59 MB with every cell a str at once.
-        n = 40_000
-        rng = np.random.default_rng(18)
-        raw = rng.uniform(0.05, 5.0, size=(n, len(PSF_ORDER)))
-        trials = rng.integers(20, 2000, size=n)
-        hep = rng.binomial(trials, 0.15) / trials
-        path = tmp_path / "tasks.csv"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(OBS_HEADER + ",trials\n")
-            for i, (psfs, h, t) in enumerate(zip(raw.tolist(), hep.tolist(), trials.tolist())):
-                handle.write(",".join([f"T{i + 1:06d}", *map(repr, psfs), repr(h), str(t)]) + "\n")
-        assert path.stat().st_size > 7_000_000
-        tracemalloc.start()
-        try:
-            obs = load_observations(str(path))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(obs) == n
+        path, raw = tasks_40k
+        obs, peak = _traced_load(path)
+        assert len(obs) == 40_000
         assert obs.psfs.tolist() == raw.tolist()
         assert peak < 35_000_000
+
+
+@pytest.fixture(scope="module")
+def tasks_40k(tmp_path_factory):
+    """The score workload's task file, 40k rows with a trials column, and
+    its (n, 8) multipliers."""
+    tmp_path = tmp_path_factory.mktemp("tasks")
+    n = 40_000
+    rng = np.random.default_rng(18)
+    raw = rng.uniform(0.05, 5.0, size=(n, len(PSF_ORDER)))
+    trials = rng.integers(20, 2000, size=n)
+    hep = rng.binomial(trials, 0.15) / trials
+    path = tmp_path / "tasks.csv"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(OBS_HEADER + ",trials\n")
+        for i, (psfs, h, t) in enumerate(zip(raw.tolist(), hep.tolist(), trials.tolist())):
+            handle.write(",".join([f"T{i + 1:06d}", *map(repr, psfs), repr(h), str(t)]) + "\n")
+    assert path.stat().st_size > 7_000_000
+    return path, raw
+
+
+def _traced_load(path):
+    """The set loaded from ``path`` and the load's tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        obs = load_observations(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return obs, peak
+
+
+# Line breaks that str.splitlines knows, each written as the file's only one.
+_EOLS = ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"]
+
+
+class TestStreamedLoader:
+    """A path is read ``ioutil._CHUNK_CHARS`` characters at a time; the lines
+    the chunks give must be the text's, wherever the chunks end."""
+
+    @pytest.mark.parametrize("fault", [None, "hep out of range", "bad cell count"])
+    @pytest.mark.parametrize("ending", ["none", "one", "blank lines"])
+    @pytest.mark.parametrize("eol", _EOLS, ids=repr)
+    def test_every_chunk_size(self, tmp_path, monkeypatch, eol, ending, fault):
+        lines = _block_lines(4)
+        if fault:
+            lines = _doctored(lines, [(2, fault)])
+        # blank lines inside, so some fall on a chunk edge
+        lines[3:3] = ["", "  ", "\t"]
+        text = eol.join(lines) + {"none": "", "one": eol, "blank lines": eol + " " + eol * 2}[ending]
+        expected = _outcome(legacy_load_observations, text)
+        assert expected[0] == ("error" if fault else "ok")
+        assert _outcome(_columnar_instances, text) == expected
+        path = tmp_path / "obs.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        # size 1 puts a chunk edge everywhere, so every break straddles one
+        for size in [1, 2, 3, 5, 8, 13, 64, len(text) - 1, len(text), 1 << 20]:
+            monkeypatch.setattr(ioutil, "_CHUNK_CHARS", size)
+            assert _path_outcome(path) == expected, size
+
+    @pytest.mark.parametrize(
+        "bad", [b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xe2\x82"], ids=repr
+    )
+    def test_bad_byte_after_a_row_fault(self, tmp_path, bad):
+        """A bad byte past the first chunk beats an earlier faulty row, with
+        the message of a whole-file decode: its position counts from the file's
+        start."""
+        lines = _doctored(_block_lines(20_000), [(2, "hep out of range")])
+        raw = _text(lines).encode("utf-8")
+        assert len(raw) > 1.2 * ioutil._CHUNK_CHARS
+        raw = raw + bad + b",1\n" if bad != b"\xe2\x82" else raw + bad
+        path = tmp_path / "obs.csv"
+        path.write_bytes(raw)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            raw.decode("utf-8")
+        assert whole.value.start > ioutil._CHUNK_CHARS
+        with pytest.raises(InputError) as err:
+            load_observations(str(path))
+        assert str(err.value) == f"cannot read {path}: {whole.value}"
+
+    def test_40k_row_load_peak_memory(self, tasks_40k):
+        # Measured 11.9 MB with the file read in 1 MiB chunks; 28.6 MB when the
+        # whole text and its lines were held while parsing.
+        path, raw = tasks_40k
+        obs, peak = _traced_load(path)
+        assert obs.psfs.tolist() == raw.tolist()
+        assert peak <= 18_000_000
 
 
 class TestObservationSetColumns:

@@ -179,6 +179,29 @@ class TestAtomicWriteFailure:
         assert os.listdir(target) == []
 
 
+class TestAtomicWriteMode:
+    """A written file has the mode a plain ``open(path, "w")`` gives it."""
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_matches_plain_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w") as handle:
+                handle.write("x\n")
+            atomic_write_text(tmp_path / "new.txt", "x\n")
+            # an overwrite of a file made under the same umask keeps its mode
+            with open(tmp_path / "old.txt", "w") as handle:
+                handle.write("x\n")
+            atomic_write_text(tmp_path / "old.txt", "y\n")
+        finally:
+            os.umask(old)
+        want = (tmp_path / "plain.txt").stat().st_mode
+        assert want & 0o777 == 0o666 & ~umask
+        assert (tmp_path / "new.txt").stat().st_mode == want
+        assert (tmp_path / "old.txt").stat().st_mode == want
+        assert (tmp_path / "old.txt").read_text() == "y\n"
+
+
 def _src_trees():
     for path in sorted(SRC.glob("*.py")):
         yield path.name, ast.parse(path.read_text(encoding="utf-8"))

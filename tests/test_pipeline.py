@@ -338,6 +338,32 @@ class TestComparison:
         with pytest.raises(dataclasses.FrozenInstanceError):
             rows[0].observed = 0.0
 
+    @pytest.mark.parametrize("n", [0, 1, dataset._BLOCK_ROWS, 2 * dataset._BLOCK_ROWS + 1])
+    def test_rows_view_matches_an_eager_tuple(self, n):
+        rng = np.random.default_rng(n)
+        observed, before, after = rng.uniform(0.0, 1.0, (3, n))
+        report = ComparisonReport(
+            tuple(f"T{i}" for i in range(n)),
+            observed, before, after, (before - observed) ** 2, (after - observed) ** 2,
+            mse_before=0.0, mse_after=0.0,
+        )
+        oracle = tuple(
+            ComparisonRow(*cells)
+            for cells in zip(
+                report.ids, observed.tolist(), before.tolist(), after.tolist(),
+                report.se_before.tolist(), report.se_after.tolist(),
+            )
+        )
+        rows = report.rows
+        assert len(rows) == n
+        assert tuple(rows) == oracle
+        assert [rows[i] for i in range(-n, n)] == list(oracle * 2)
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+        with pytest.raises(TypeError):
+            rows[0] = None
+
     def test_matches_legacy_where_pow_and_multiply_round_apart(self):
         rng = np.random.default_rng(6)
         n = 5000

@@ -951,6 +951,13 @@ class TestPrediction:
         with pytest.raises(InputError, match=f"factor D level {level} is not finite"):
             predict_response(result, point)
 
+    def test_int_too_large_for_a_float_rejected(self):
+        rows = bundled_table4()
+        result = fit(rows, PAPER_SPEC, infer_coding(rows))
+        point = dict(rows[0].levels, D=2**1100)
+        with pytest.raises(InputError, match="factor D level is too large for a float"):
+            predict_response(result, point)
+
 
 class TestEvaluateDesign:
     def make_constant_predictor(self, letters, value=0.5):

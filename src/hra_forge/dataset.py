@@ -403,12 +403,12 @@ def _slurp(source, parse):
 
 def _source_text(source) -> Optional[str]:
     """The text of a file object or of CSV text; None for a path. A string is
-    CSV text only when it holds a newline, so a path may contain commas."""
+    CSV text only when it holds a line break (LF or CR): a path may hold commas."""
     if hasattr(source, "read"):
         data = source.read()
         return data.decode("utf-8") if isinstance(data, bytes) else data
     text = str(source)
-    return text if "\n" in text else None
+    return text if "\n" in text or "\r" in text else None
 
 
 def _emit(sink, text: str) -> None:

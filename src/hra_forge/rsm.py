@@ -34,6 +34,11 @@ DEFAULT_AXIAL = 5.0 / 3.0
 #: Center runs of a generated central composite design.
 DEFAULT_CENTER_RUNS = 6
 
+#: The most center runs ``generate_ccd`` (``design --center``) accepts. At the
+#: cap an 8-factor ``design --generate`` takes about 0.2 s and 8 MB more peak
+#: memory than the default design; 200,000 center runs took 203 MB and 2.7 s.
+MAX_CENTER_RUNS = 10_000
+
 #: ``uniform_coding``'s (center, half range): default axial points land on 0 and 1.
 UNIFORM_CODING = (0.5, 0.3)
 
@@ -301,7 +306,11 @@ def model_matrix(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCodin
 
 @dataclass(frozen=True)
 class FitResult:
-    """An OLS fit of the transformed response on the coded model columns."""
+    """An OLS fit of the transformed response on the coded model columns.
+
+    ``r_inv`` is R^-1 for the factorization X = QR of ``matrix``, the one
+    factorization the fit made; ``anova`` reads its term tests off it.
+    """
 
     spec: ModelSpec
     coding: FactorCoding
@@ -312,20 +321,46 @@ class FitResult:
     coded_ranges: dict[str, tuple[float, float]]
     matrix: np.ndarray                            # coded columns, spec.terms order
     transformed: np.ndarray                       # response ** power, as fitted
+    r_inv: np.ndarray                             # R^-1 of matrix = QR
 
     @property
     def sse(self) -> float:
         return float(self.residuals @ self.residuals)
 
 
-def _least_squares(X: np.ndarray, z: np.ndarray):
+def _least_squares(X: np.ndarray, z: np.ndarray, terms=None):
     """The OLS core of ``fit`` and of every elimination pass: the
-    coefficients, rank, fitted values and residuals of z on X's columns."""
+    coefficients, R^-1, fitted values and residuals of z on X's columns.
+
+    One Householder QR of [X | z] gives both halves of the solve: its
+    leading k x k block is X's R and its last column is Q'z, so
+    coef = R^-1 Q'z. With ``terms`` (``fit``'s call) X's rank is checked
+    first, from R's singular values, which are X's: a rank below k raises
+    RankDeficientError naming the columns whose removal keeps the rank.
+    """
+    k = X.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        # rank: X's singular values above sigma_max * max(M, N) * eps, whatever z is
-        coef, _, rank, _ = np.linalg.lstsq(X, z, rcond=None)
+        rz = np.linalg.qr(np.column_stack((X, z)), mode="r")
+        r = rz[:k, :k]
+        if terms is not None:
+            _check_rank(X, r, terms)
+        r_inv = np.linalg.inv(r)
+        coef = r_inv @ rz[:k, k]
         fitted = X @ coef
-        return coef, rank, fitted, z - fitted
+        return coef, r_inv, fitted, z - fitted
+
+
+def _check_rank(X: np.ndarray, r: np.ndarray, terms: Sequence[ModelTerm]) -> None:
+    """X's rank counts R's singular values above sigma_max * max(n, k) * eps,
+    the default rule of ``np.linalg.matrix_rank``."""
+    s = np.linalg.svd(r, compute_uv=False)
+    rank = int((s > s[0] * max(X.shape) * np.finfo(float).eps).sum())
+    if rank < X.shape[1]:
+        raise RankDeficientError([
+            term
+            for i, term in enumerate(terms)
+            if np.linalg.matrix_rank(np.delete(X, i, axis=1)) == rank
+        ])
 
 
 def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> FitResult:
@@ -345,15 +380,7 @@ def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> Fit
     with np.errstate(over="ignore", invalid="ignore"):
         z = np.array([r.response for r in rows], dtype=float) ** spec.response_power
         sst = float(((z - z.mean()) ** 2).sum())
-    coef, rank, fitted, residuals = _least_squares(X, z)
-    if rank < X.shape[1]:
-        # name the columns whose removal does not lower the rank
-        collinear = [
-            term
-            for i, term in enumerate(spec.terms)
-            if np.linalg.matrix_rank(np.delete(X, i, axis=1)) == rank
-        ]
-        raise RankDeficientError(collinear)
+    coef, r_inv, fitted, residuals = _least_squares(X, z, spec.terms)
     # overflow is reported here: comparisons with NaN would hide it later
     if not (np.isfinite(z).all() and math.isfinite(sst)):
         raise NumericalError(
@@ -373,6 +400,7 @@ def fit(rows: Sequence[DesignRow], spec: ModelSpec, coding: FactorCoding) -> Fit
         },
         matrix=X,
         transformed=z,
+        r_inv=r_inv,
     )
 
 
@@ -421,15 +449,16 @@ def _f_test(ss: float, df: int, ms_error: float, df_error: int):
     return ms, f, f_sf(df, df_error, f)
 
 
-def _term_tests(matrix: np.ndarray, coef: np.ndarray, ms_error: float):
+def _term_tests(r_inv: np.ndarray, coef: np.ndarray, ms_error: float):
     """(SS, F) arrays of each column's one-df partial test, by ``_f_test``'s
     rules: SS is b_i^2 / [(X'X)^-1]_ii, floored at 0, and its mean square;
-    ms_error 0 gives F = inf. With X = QR the diagonal of (X'X)^-1 =
-    R^-1 R^-T is the row sums of R^-1 squared elementwise. Every test has
-    one numerator df and the residual df, so P(F > f) falls as F rises:
-    ``anova`` takes every term's p-value, ``backward_eliminate`` only the
-    p-value of the smallest removable F in each pass."""
-    r_inv = np.linalg.inv(np.linalg.qr(matrix, mode="r"))
+    ms_error 0 gives F = inf. ``r_inv`` is the R^-1 of X = QR that the
+    solve (``_least_squares``) already made, so nothing is factored here:
+    the diagonal of (X'X)^-1 = R^-1 R^-T is the row sums of R^-1 squared
+    elementwise. Every test has one numerator df and the residual df, so
+    P(F > f) falls as F rises: ``anova`` takes every term's p-value,
+    ``backward_eliminate`` only the p-value of the smallest removable F in
+    each pass."""
     ss = np.maximum(coef * coef / (r_inv * r_inv).sum(axis=1), 0.0)
     if ms_error > 0:
         with np.errstate(over="ignore"):
@@ -476,24 +505,24 @@ def _check_additivity(parts, total, what):
 def anova(fit_result: FitResult, rows: Sequence[DesignRow]) -> AnovaTable:
     """Partial (per-term) ANOVA with a replicate-based lack-of-fit test.
 
-    The table reads the fit's model matrix and transformed response; ``rows``
-    only group replicates (identical level vectors) for pure error. Each
-    non-intercept term gets one degree of freedom; its sum of squares is the
-    increase in residual SS when that column alone is removed. That extra
-    sum of squares equals b_i^2 / [(X'X)^-1]_ii, with b_i the fitted
-    coefficient, so one QR factorization X = QR serves every term: the
-    diagonal of (X'X)^-1 = R^-1 R^-T is the row sums of R^-1 squared
-    elementwise. Against refitting with the column deleted, term p-values
-    agree within 1e-9 relative, and term SS and F within 1e-9 relative to
-    max(F, 1): below F = 1 the refit's own difference of two SSEs carries
-    rounding of about eps * SSE. One F rule tests the Model row
-    (``_f_test``) and the term rows (``_term_tests``, which the passes of
-    ``backward_eliminate`` share, and ``dist.f_sf``) against the residual
-    mean square, and Lack of Fit against pure error. Elimination returns
-    the reduced spec only; its table is ``anova(fit(rows, reduced, coding),
-    rows)``. Without replicate rows the lack-of-fit partition is omitted; a
-    constant transformed response leaves no F defined and raises
-    NumericalError.
+    The table reads the fit's transformed response, fitted values and R^-1;
+    ``rows`` only group replicates (identical level vectors) for pure error.
+    Each non-intercept term gets one degree of freedom; its sum of squares
+    is the increase in residual SS when that column alone is removed. That
+    extra sum of squares equals b_i^2 / [(X'X)^-1]_ii, with b_i the fitted
+    coefficient, so the fit's own factorization X = QR serves every term
+    and the table factors nothing: the diagonal of (X'X)^-1 = R^-1 R^-T is
+    the row sums of R^-1 squared elementwise. Against refitting with the
+    column deleted, term p-values agree within 1e-9 relative, and term SS
+    and F within 1e-9 relative to max(F, 1): below F = 1 the refit's own
+    difference of two SSEs carries rounding of about eps * SSE. One F rule
+    tests the Model row (``_f_test``) and the term rows (``_term_tests``,
+    which the passes of ``backward_eliminate`` share, and ``dist.f_sf``)
+    against the residual mean square, and Lack of Fit against pure error.
+    Elimination returns the reduced spec only; its table is
+    ``anova(fit(rows, reduced, coding), rows)``. Without replicate rows the
+    lack-of-fit partition is omitted; a constant transformed response
+    leaves no F defined and raises NumericalError.
     """
     spec = fit_result.spec
     z = fit_result.transformed
@@ -509,7 +538,7 @@ def anova(fit_result: FitResult, rows: Sequence[DesignRow]) -> AnovaTable:
                  *_f_test(ss_model, df_model, ms_resid, df_resid))
     ]
     b = np.array([fit_result.coefficients[t] for t in spec.terms])
-    ss, f = _term_tests(fit_result.matrix, b, ms_resid)
+    ss, f = _term_tests(fit_result.r_inv, b, ms_resid)
     for term, ss_i, f_i in zip(spec.terms, ss.tolist(), f.tolist()):
         if term.kind != _KIND_INTERCEPT:  # one df: ms = ss
             out.append(AnovaRow(str(term), ss_i, 1, ss_i, f_i, f_sf(1, df_resid, f_i)))
@@ -565,14 +594,15 @@ def backward_eliminate(
     survives, so the result stays hierarchical.
 
     One ``fit`` of the full spec (the trail's only rank and overflow check)
-    gives the model matrix X_full and the transformed response z; the
-    corrected total, the pure-error SS and each term's parent columns
-    follow. A pass is a list of kept column indices: it refits a
-    C-contiguous copy of those columns of X_full (a strided view would take
-    another BLAS path and move SSEs in the last digits) with ``fit``'s OLS
-    core, tests every column at once with ``anova``'s ``_term_tests`` and
-    keeps ``anova``'s additivity checks, so every step's p-value and
-    ``sse_after`` (the SSE once the term is gone) are those of
+    gives the model matrix X_full, the transformed response z and the first
+    pass's coefficients and R^-1; the corrected total, the pure-error SS and
+    each term's count of surviving children follow. A pass is a list of
+    kept column indices: it refits a C-contiguous copy of those columns of
+    X_full (a strided view would take another BLAS path and move SSEs in
+    the last digits) with one call of ``fit``'s OLS core, one QR, tests
+    every column at once with ``anova``'s ``_term_tests`` on that solve's
+    R^-1 and keeps ``anova``'s additivity checks, so every step's p-value
+    and ``sse_after`` (the SSE once the term is gone) are those of
     ``anova(fit(...))`` on that spec. Deleting columns can neither lower
     the smallest singular value nor raise the largest, so every kept subset
     has full rank when X_full has.
@@ -580,40 +610,40 @@ def backward_eliminate(
     check_alpha(alpha)
     full = fit(rows, full_spec, coding)
     X_full, z = full.matrix, full.transformed
+    z_mean = z.mean()
     ss_total = _corrected_total(z, full_spec.response_power)
     ss_pe, df_pe = _pure_error(rows, full_spec, z)
     terms = full_spec.terms
     at = {t: j for j, t in enumerate(terms)}
-    parent_of = np.zeros((len(terms), len(terms)), dtype=bool)  # [j, k]: k is j's parent
-    for j, t in enumerate(terms):
-        parent_of[j, [at[q] for q in _parents(t)]] = True
+    parents = [[at[q] for q in _parents(t)] for t in terms]
+    children = np.zeros(len(terms), dtype=int)  # surviving children per column
+    for js in parents:
+        children[js] += 1
     droppable = np.array([t.kind != _KIND_INTERCEPT for t in terms])
     cols = np.arange(len(terms))
-    X = X_full
     coef = np.array([full.coefficients[t] for t in terms])
-    fitted, residuals = full.fitted, full.residuals
+    r_inv, fitted, residuals = full.r_inv, full.fitted, full.residuals
     steps: list[EliminationStep] = []
     while True:
         sse = float(residuals @ residuals)
         if df_pe > 0:
             _check_additivity((max(sse - ss_pe, 0.0), ss_pe), sse,
                               "lack of fit + pure error")
-        ss_model = float(((fitted - z.mean()) ** 2).sum())
+        ss_model = float(((fitted - z_mean) ** 2).sum())
         _check_additivity((ss_model, sse), ss_total, "model + residual")
         df_resid = len(z) - len(cols)
-        _, f = _term_tests(X, coef, sse / df_resid)
-        protected = parent_of[np.ix_(cols, cols)].any(axis=0)
+        _, f = _term_tests(r_inv, coef, sse / df_resid)
         # smallest F is largest p; argmin keeps the first, canonical, of
         # exact ties. With no removable column every F is inf, and p = 0.
-        f = np.where(droppable[cols] & ~protected, f, np.inf)
+        f = np.where(droppable[cols] & (children[cols] == 0), f, np.inf)
         drop = int(np.argmin(f))
         p_value = f_sf(1, df_resid, float(f[drop]))
         if not p_value > alpha:
             break
         term = terms[cols[drop]]
+        children[parents[cols[drop]]] -= 1
         cols = np.delete(cols, drop)
-        X = np.ascontiguousarray(X_full[:, cols])
-        coef, _, fitted, residuals = _least_squares(X, z)
+        coef, r_inv, fitted, residuals = _least_squares(X_full.take(cols, axis=1), z)
         steps.append(EliminationStep(term, p_value, float(residuals @ residuals)))
     spec = ModelSpec(tuple(terms[j] for j in cols), full_spec.response_power)
     return spec, tuple(steps)
@@ -755,6 +785,10 @@ def generate_ccd(
         raise InputError("factor letters must be distinct")
     if n_center < 0:
         raise InputError("center-point count cannot be negative")
+    if n_center > MAX_CENTER_RUNS:
+        raise InputError(
+            f"--center must be at most {MAX_CENTER_RUNS} center runs, got {n_center}"
+        )
     if not axial > 0:
         raise InputError("axial distance must be positive")
     k = len(letters)

@@ -190,6 +190,14 @@ class TestDesignCommand:
         assert main(["design", "--generate", "--factors", "9"]) == 2
         capsys.readouterr()
 
+    def test_center_cap(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        over = str(rsm.MAX_CENTER_RUNS + 1)
+        assert main(["design", "--generate", "--center", over, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--center" in err and f"at most {rsm.MAX_CENTER_RUNS} " in err
+        assert not out.exists()
+
 
 class TestAnovaCommand:
     def test_prints_table_and_writes_csv(self, tmp_path, capsys):

@@ -822,6 +822,23 @@ class TestObservationIo:
             load_observations(OBS_HEADER + "\nI1,1,1,1\n")
         assert "row 1" in str(err.value)
 
+    @pytest.mark.parametrize("eol", ["\r", "\r\n", "\n"], ids=repr)
+    def test_text_with_any_line_break(self, eol):
+        # text whose only breaks are "\r" is text, not a path to open
+        text = eol.join([OBS_HEADER, "I1,1,1,1,1,1,1,1,1,0.5", "I2,2,1,1,1,1,1,1,1,0.25"])
+        obs = load_observations(text)
+        assert [i.id for i in obs.instances] == ["I1", "I2"]
+        assert [float(i.observed_hep) for i in obs.instances] == [0.5, 0.25]
+
+    def test_string_without_line_break_is_a_path(self, tmp_path):
+        path = tmp_path / "dir,x" / "obs.csv"
+        path.parent.mkdir()
+        path.write_text(OBS_HEADER + "\rI1,1,1,1,1,1,1,1,1,0.5\r", newline="")
+        assert [i.id for i in load_observations(str(path)).instances] == ["I1"]
+        missing = tmp_path / "missing,obs.csv"
+        with pytest.raises(InputError, match=f"cannot read {re.escape(str(missing))}: "):
+            load_observations(str(missing))
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "1.5"])
     def test_trials_must_be_an_integer(self, cell):
         text = OBS_HEADER + f",trials\nI1,1,1,1,1,1,1,1,1,0.5,{cell}\n"
@@ -880,6 +897,14 @@ class TestDesignIo:
         for source in (path, str(path)):
             rows = load_design(source)
             assert [r.levels for r in rows] == [r.levels for r in bundled_table4()]
+
+    @pytest.mark.parametrize("eol", ["\r", "\r\n", "\n"], ids=repr)
+    def test_text_with_any_line_break(self, eol):
+        text = eol.join(["std,run,A,reliability", "1,1,0.2,50", "2,2,0.8,60.5"])
+        rows = load_design(text)
+        assert [(r.std_order, r.levels, r.response) for r in rows] == [
+            (1, {"A": 0.2}, 50.0), (2, {"A": 0.8}, 60.5),
+        ]
 
     def test_none_response_written_empty(self):
         rows = [DesignRow(1, 1, {"A": 0.5}, None)]

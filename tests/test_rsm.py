@@ -467,6 +467,75 @@ class TestColumnIndexTrailMatchesRefitting:
         assert total_steps > 100
 
 
+class TestLeastSquaresCore:
+    """``_least_squares`` (one QR of [X | z]) against numpy's SVD solve, and
+    the rank rule of ``fit``'s call against ``np.linalg.matrix_rank``."""
+
+    @staticmethod
+    def cases():
+        table4 = bundled_table4()
+        letters4, coding4 = sorted(table4[0].levels), infer_coding(table4)
+        out = [(table4, full_quadratic(letters4, p), coding4) for p in (1.0, 3.0)]
+        out.append((table4, PAPER_SPEC, coding4))
+        rng = np.random.default_rng(1234)
+        for k in (4, 5, 6, 7, 8):
+            letters, coding, rows = planted_ab_ccd(rng, k)
+            out.append((rows, full_quadratic(letters, 3.0), coding))
+        return out
+
+    def test_matches_lstsq(self):
+        for rows, spec, coding in self.cases():
+            X = model_matrix(rows, spec, coding)
+            z = np.array([r.response for r in rows]) ** spec.response_power
+            coef, r_inv, fitted, residuals = rsm._least_squares(X, z)
+            want, (want_sse,), _, _ = np.linalg.lstsq(X, z, rcond=None)
+            assert np.abs(coef - want).max() <= 1e-10 * np.abs(want).max()
+            assert rel_gap(float(residuals @ residuals), float(want_sse)) <= 1e-10
+            assert np.array_equal(fitted, X @ coef)
+            assert np.array_equal(residuals, z - fitted)
+            # r_inv is R^-1 of X = QR: R^-T R^-1 inverts X'X
+            assert np.allclose(r_inv @ r_inv.T @ (X.T @ X), np.eye(X.shape[1]),
+                               atol=1e-8)
+
+    @pytest.mark.parametrize("nudge", [0.0, 1e-6])
+    def test_rank_rule_is_matrix_rank(self, nudge):
+        # table4's full quadratic plus a copy of column A, exact or nudged
+        rows = bundled_table4()
+        spec = full_quadratic(sorted(rows[0].levels), 3.0)
+        X = model_matrix(rows, spec, infer_coding(rows))
+        copy = X[:, 1].copy()
+        copy[0] += nudge
+        X = np.column_stack((X, copy))
+        z = np.array([r.response for r in rows]) ** 3.0
+        terms = spec.terms + (main_effect("A"),)
+        if np.linalg.matrix_rank(X) < X.shape[1]:
+            assert nudge == 0.0
+            with pytest.raises(RankDeficientError) as err:
+                rsm._least_squares(X, z, terms)
+            assert err.value.terms == (main_effect("A"), main_effect("A"))
+        else:
+            assert nudge != 0.0
+            rsm._least_squares(X, z, terms)
+
+    def test_one_qr_per_pass_and_no_svd_solve(self, monkeypatch):
+        # the full fit plus one solve per pass; anova refactors nothing
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+        rows = bundled_table4()
+        coding = infer_coding(rows)
+        full = full_quadratic(sorted(rows[0].levels), 3.0)
+        calls = count_calls(monkeypatch, ("_least_squares", "_term_tests"), rsm)
+        reduced, steps = backward_eliminate(rows, full, 0.05, coding)
+        assert len(steps) == 37
+        assert calls == {"_least_squares": len(steps) + 1,
+                         "_term_tests": len(steps) + 1}
+        anova(fit(rows, reduced, coding), rows)
+        assert calls == {"_least_squares": len(steps) + 2,
+                         "_term_tests": len(steps) + 2}
+
+
 def scipy_passes(rows, spec, coding):
     """The passes of backward elimination on scipy's F tail, run until no
     term is removable: each pass's spec and the (term, p) of its removable
@@ -742,6 +811,12 @@ class TestCcd:
         letters = list("ABCDEFGH") + ["I"]
         with pytest.raises(InputError):
             generate_ccd(letters, uniform_coding(list("ABCDEFGH")), 2)
+
+    def test_center_cap_checked_before_any_work(self, monkeypatch):
+        # only cap + 1 is run: rejection must come before a row is built
+        monkeypatch.setattr(rsm, "_fraction_signs", None)
+        with pytest.raises(InputError, match=f"--center must be at most {rsm.MAX_CENTER_RUNS} "):
+            generate_ccd(["A", "B"], uniform_coding(["A", "B"]), rsm.MAX_CENTER_RUNS + 1)
 
 
 class TestBackwardElimination:

@@ -37,6 +37,25 @@ PLATEAU_WINDOW = 100
 #: Epochs the loss trace has room for before its first doubling.
 _TRACE_BLOCK = 1024
 
+#: Work-size caps that ``TrainingConfig`` checks before any work. Training
+#: holds, per replica, three (rows, hidden) float arrays, two parameter
+#: blocks of hidden * (inputs + 2) + 1 floats, and a loss trace of 8 bytes
+#: per epoch run that grows by doubling to at most PLATEAU_WINDOW +
+#: max_epochs rows: up to 400 kB per replica at the default 50,000 epochs.
+#: ``max_epochs`` has no cap: the trace follows the epochs run, not the cap.
+#:
+#: MAX_REPLICATIONS: at the cap that trace is 40 MB at the default epochs.
+MAX_REPLICATIONS = 100
+#: MAX_HIDDEN_NODES: at the cap the three arrays take 2.4 kB per observation
+#: row per replica (36 kB on the 15-row case study, 96 MB on 40,000 rows).
+MAX_HIDDEN_NODES = 100
+
+#: (field, where a value comes from, cap)
+_CAPS = (
+    ("n_replications", "config key replications, flag --replications", MAX_REPLICATIONS),
+    ("hidden_nodes", "config key hidden_nodes", MAX_HIDDEN_NODES),
+)
+
 _PREDICTOR_MAGIC = "hra-forge predictor v1"
 
 
@@ -93,7 +112,8 @@ class TrainingConfig:
 
     ``loss_tolerance`` feeds the plateau rule: stop once the loss improves by
     less than this over PLATEAU_WINDOW epochs. ``hidden_nodes`` overrides the
-    hidden-equals-inputs default when set.
+    hidden-equals-inputs default when set. ``n_replications`` and
+    ``hidden_nodes`` are capped at MAX_REPLICATIONS and MAX_HIDDEN_NODES.
     """
 
     seed: int = 1
@@ -116,6 +136,10 @@ class TrainingConfig:
             raise InputError("n_replications must be >= 1")
         if self.hidden_nodes is not None and self.hidden_nodes < 1:
             raise InputError("hidden_nodes must be >= 1")
+        for field, source, cap in _CAPS:
+            value = getattr(self, field)
+            if value is not None and value > cap:
+                raise InputError(f"{field} ({source}) must be at most {cap}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ inferred from the design itself rather than assumed.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -328,20 +329,34 @@ class FitResult:
         return float(self.residuals @ self.residuals)
 
 
+@functools.cache  # one mask per column count, at most 46
+def _below_diagonal(k: int) -> np.ndarray:
+    """The read-only k x k mask of the entries below the diagonal."""
+    mask = np.tri(k, k, -1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
 def _least_squares(X: np.ndarray, z: np.ndarray, terms=None):
     """The OLS core of ``fit`` and of every elimination pass: the
     coefficients, R^-1, fitted values and residuals of z on X's columns.
 
     One Householder QR of [X | z] gives both halves of the solve: its
     leading k x k block is X's R and its last column is Q'z, so
-    coef = R^-1 Q'z. With ``terms`` (``fit``'s call) X's rank is checked
-    first, from R's singular values, which are X's: a rank below k raises
-    RankDeficientError naming the columns whose removal keeps the rank.
+    coef = R^-1 Q'z. X must be C-contiguous: a strided view would take
+    another BLAS path in ``fitted = X @ coef``. The QR is read in numpy's
+    ``mode="raw"``, the same LAPACK call as ``mode="r"``: zeroing the
+    Householder vectors below the diagonal with a cached mask is what
+    ``mode="r"`` does with ``np.triu``, so R has the same bits. With
+    ``terms`` (``fit``'s call) X's rank is checked first, from R's singular
+    values, which are X's: a rank below k raises RankDeficientError naming
+    the columns whose removal keeps the rank.
     """
     k = X.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        rz = np.linalg.qr(np.column_stack((X, z)), mode="r")
-        r = rz[:k, :k]
+        h, _ = np.linalg.qr(np.column_stack((X, z)), mode="raw")
+        rz = h.T  # R on and above the diagonal; its last column is Q'z
+        r = np.where(_below_diagonal(k), 0.0, rz[:k, :k])
         if terms is not None:
             _check_rank(X, r, terms)
         r_inv = np.linalg.inv(r)
@@ -456,9 +471,8 @@ def _term_tests(r_inv: np.ndarray, coef: np.ndarray, ms_error: float):
     solve (``_least_squares``) already made, so nothing is factored here:
     the diagonal of (X'X)^-1 = R^-1 R^-T is the row sums of R^-1 squared
     elementwise. Every test has one numerator df and the residual df, so
-    P(F > f) falls as F rises: ``anova`` takes every term's p-value,
-    ``backward_eliminate`` only the p-value of the smallest removable F in
-    each pass."""
+    P(F > f) falls as F rises: ``anova`` takes every term's p-value, an
+    elimination pass only the p-value of its smallest removable F."""
     ss = np.maximum(coef * coef / (r_inv * r_inv).sum(axis=1), 0.0)
     if ms_error > 0:
         with np.errstate(over="ignore"):
@@ -481,12 +495,18 @@ def _corrected_total(z: np.ndarray, power: float) -> float:
 
 def _pure_error(rows: Sequence[DesignRow], spec: ModelSpec, z: np.ndarray):
     """(SS, df) of pure error: each group of replicate rows (identical level
-    vectors) pools its deviations from the group mean. SS is 0 at df 0."""
+    vectors) pools its deviations from the group mean. SS is 0 at df 0.
+
+    Groups are numbered in order of first appearance by a dict over the
+    level tuples, so -0.0 and 0.0 fall in one group (they are equal and
+    hash alike); design levels are finite, so no NaN key arises. The
+    numbering does not reach the arithmetic: ``np.bincount`` sums each
+    group's responses in row order whatever its number, so SS has the bits
+    of numbering the groups by sorting, as ``np.unique(axis=0)`` does."""
     _, levels = _design_levels(rows, spec)
-    _, group, counts = np.unique(
-        levels, axis=0, return_inverse=True, return_counts=True
-    )
-    group = group.reshape(-1)  # numpy 2.0.0 returns it with a trailing axis
+    first: dict[tuple, int] = {}
+    group = np.array([first.setdefault(key, len(first)) for key in map(tuple, levels.tolist())])
+    counts = np.bincount(group)
     df_pe = len(z) - len(counts)
     if df_pe == 0:
         return 0.0, 0
@@ -593,34 +613,43 @@ def backward_eliminate(
     effects are not removable while any interaction or quadratic child
     survives, so the result stays hierarchical.
 
-    One ``fit`` of the full spec (the trail's only rank and overflow check)
-    gives the model matrix X_full, the transformed response z and the first
-    pass's coefficients and R^-1; the corrected total, the pure-error SS and
-    each term's count of surviving children follow. A pass is a list of
-    kept column indices: it refits a C-contiguous copy of those columns of
-    X_full (a strided view would take another BLAS path and move SSEs in
-    the last digits) with one call of ``fit``'s OLS core, one QR, tests
-    every column at once with ``anova``'s ``_term_tests`` on that solve's
-    R^-1 and keeps ``anova``'s additivity checks, so every step's p-value
-    and ``sse_after`` (the SSE once the term is gone) are those of
-    ``anova(fit(...))`` on that spec. Deleting columns can neither lower
-    the smallest singular value nor raise the largest, so every kept subset
-    has full rank when X_full has.
+    Once per trail: one ``fit`` of the full spec (the trail's only rank and
+    overflow check) gives the model matrix X_full, the transformed response
+    z and the first pass's coefficients and R^-1; then come the corrected
+    total, the pure-error SS, each term's count of surviving children and a
+    boolean array of which columns of X_full are removable.
+
+    A pass keeps its columns as a list of indices into X_full. Its
+    ``anova`` additivity checks come first, then one ``_term_tests`` call
+    on the last solve's R^-1 tests every kept column at once, the
+    removability array masks the F values, and one ``f_sf`` call gives the
+    p-value of the smallest. If the term goes, its index leaves the list,
+    and a main effect that loses its last child with it becomes removable:
+    the array changes only then. The next solve is one ``_least_squares``
+    call, one QR, on a C-contiguous copy of the kept columns of X_full (a
+    strided view would take another BLAS path and move SSEs in the last
+    digits). So every step's p-value and ``sse_after`` (the SSE once the
+    term is gone) have the bits of ``anova(fit(...))`` on that spec.
+    Deleting columns can neither lower the smallest singular value nor
+    raise the largest, so every kept subset has full rank when X_full has.
     """
     check_alpha(alpha)
     full = fit(rows, full_spec, coding)
     X_full, z = full.matrix, full.transformed
+    n, k = X_full.shape
     z_mean = z.mean()
     ss_total = _corrected_total(z, full_spec.response_power)
     ss_pe, df_pe = _pure_error(rows, full_spec, z)
     terms = full_spec.terms
     at = {t: j for j, t in enumerate(terms)}
     parents = [[at[q] for q in _parents(t)] for t in terms]
-    children = np.zeros(len(terms), dtype=int)  # surviving children per column
+    children = [0] * k  # surviving children per column
     for js in parents:
-        children[js] += 1
-    droppable = np.array([t.kind != _KIND_INTERCEPT for t in terms])
-    cols = np.arange(len(terms))
+        for q in js:
+            children[q] += 1
+    removable = np.array([t.kind != _KIND_INTERCEPT and not children[j]
+                          for j, t in enumerate(terms)])
+    cols = list(range(k))  # the kept columns of X_full
     coef = np.array([full.coefficients[t] for t in terms])
     r_inv, fitted, residuals = full.r_inv, full.fitted, full.residuals
     steps: list[EliminationStep] = []
@@ -631,20 +660,22 @@ def backward_eliminate(
                               "lack of fit + pure error")
         ss_model = float(((fitted - z_mean) ** 2).sum())
         _check_additivity((ss_model, sse), ss_total, "model + residual")
-        df_resid = len(z) - len(cols)
+        df_resid = n - len(cols)
         _, f = _term_tests(r_inv, coef, sse / df_resid)
         # smallest F is largest p; argmin keeps the first, canonical, of
         # exact ties. With no removable column every F is inf, and p = 0.
-        f = np.where(droppable[cols] & (children[cols] == 0), f, np.inf)
+        f = np.where(removable[cols], f, np.inf)
         drop = int(np.argmin(f))
         p_value = f_sf(1, df_resid, float(f[drop]))
         if not p_value > alpha:
             break
-        term = terms[cols[drop]]
-        children[parents[cols[drop]]] -= 1
-        cols = np.delete(cols, drop)
+        j = cols.pop(drop)
+        for q in parents[j]:
+            children[q] -= 1
+            if not children[q]:  # its last child went: the main may go
+                removable[q] = True
         coef, r_inv, fitted, residuals = _least_squares(X_full.take(cols, axis=1), z)
-        steps.append(EliminationStep(term, p_value, float(residuals @ residuals)))
+        steps.append(EliminationStep(terms[j], p_value, float(residuals @ residuals)))
     spec = ModelSpec(tuple(terms[j] for j in cols), full_spec.response_power)
     return spec, tuple(steps)
 

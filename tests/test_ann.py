@@ -611,6 +611,21 @@ class TestConfigParsing:
             TrainingConfig(seed=-4)
 
 
+class TestTrainingCaps:
+    @pytest.mark.parametrize("field, key, cap", [
+        ("n_replications", "replications", ann.MAX_REPLICATIONS),
+        ("hidden_nodes", "hidden_nodes", ann.MAX_HIDDEN_NODES),
+    ])
+    def test_cap_plus_one_rejected(self, field, key, cap):
+        # only cap + 1: the check comes before any allocation
+        with pytest.raises(InputError) as err:
+            TrainingConfig(**{field: cap + 1})
+        assert f"{field} (config key {key}" in str(err.value)
+        assert str(err.value).endswith(f") must be at most {cap}, got {cap + 1}")
+        with pytest.raises(InputError, match=f"config key {key}"):
+            parse_training_config(f"{key}={cap + 1}\n")
+
+
 class TestMetrics:
     def test_reference_columns(self):
         observed, predicted = bundled_reference_fit()

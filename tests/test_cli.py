@@ -692,3 +692,44 @@ class TestEntryPoint:
     def test_no_subcommand_exits_2(self):
         proc = run_console_script()
         assert proc.returncode == 2
+
+
+class TestTrainingCaps:
+    """Each work-size cap at cap + 1 only: rejected, exit 2, before any
+    training and before ``pipeline`` makes its result directory."""
+
+    @pytest.fixture(autouse=True)
+    def no_training(self, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(ann, "train_replicated", must_not_run)
+        monkeypatch.setattr(pipeline, "train_replicated", must_not_run)
+
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_replications_flag(self, tmp_path, capsys, command):
+        out = tmp_path / "result"
+        argv = [command, "--replications", str(ann.MAX_REPLICATIONS + 1)]
+        argv += ["--out", str(out)] if command == "pipeline" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert (f"flag --replications) must be at most {ann.MAX_REPLICATIONS}, "
+                f"got {ann.MAX_REPLICATIONS + 1}") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, cap", [
+        ("replications", ann.MAX_REPLICATIONS),
+        ("hidden_nodes", ann.MAX_HIDDEN_NODES),
+    ])
+    @pytest.mark.parametrize("command", ["train", "pipeline"])
+    def test_config_keys(self, tmp_path, capsys, command, key, cap):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"{key}={cap + 1}\n")
+        out = tmp_path / "result"
+        argv = [command, "--config", str(cfg)]
+        argv += ["--out", str(out)] if command == "pipeline" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"(config key {key}" in err
+        assert f") must be at most {cap}, got {cap + 1}" in err
+        assert not out.exists()

@@ -1095,3 +1095,91 @@ class TestRankDeficiency:
         spec = full_quadratic(["A"], 1.0)
         with pytest.raises(InputError):
             fit(rows, spec, uniform_coding(["A"]))
+
+
+class TestPureErrorGrouping:
+    """``_pure_error`` numbers replicate groups by first appearance; the
+    ``np.unique(axis=0)`` computation it replaced is the reference, and
+    the two must agree bit for bit."""
+
+    @staticmethod
+    def unique_reference(rows, spec, z):
+        _, levels = rsm._design_levels(rows, spec)
+        _, group, counts = np.unique(
+            levels, axis=0, return_inverse=True, return_counts=True
+        )
+        group = group.reshape(-1)  # numpy 2.0.0 returns it with a trailing axis
+        df_pe = len(z) - len(counts)
+        if df_pe == 0:
+            return 0.0, 0
+        dev = z - (np.bincount(group, weights=z) / counts)[group]
+        return float(dev @ dev), df_pe
+
+    def test_interleaved_unsorted_groups_and_signed_zero(self):
+        # four replicate groups, interleaved and not in sorted order; the
+        # (0.5, 0.0) group holds a row at (0.5, -0.0) too, one singleton
+        levels = [(0.9, 0.1), (0.2, 0.7), (0.5, 0.0), (0.9, 0.1), (0.5, -0.0),
+                  (0.2, 0.7), (0.4, 0.4), (0.5, 0.0), (0.2, 0.7), (0.9, 0.1),
+                  (0.1, 0.9), (0.5, -0.0), (0.2, 0.7)]
+        responses = np.random.default_rng(5).normal(80.0, 7.0, len(levels))
+        rows = [DesignRow(i, i, {"A": a, "B": b}, float(y))
+                for i, ((a, b), y) in enumerate(zip(levels, responses), start=1)]
+        spec = full_quadratic(["A", "B"], 3.0)
+        z = responses ** 3.0
+        ss, df = rsm._pure_error(rows, spec, z)
+        want_ss, want_df = self.unique_reference(rows, spec, z)
+        assert df == want_df == len(levels) - 5
+        assert ss.hex() == want_ss.hex()
+
+    def test_shuffled_table4_and_no_replicates(self):
+        rows = bundled_table4()
+        spec = full_quadratic(sorted(rows[0].levels), 3.0)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(rows))
+            shuffled = [rows[i] for i in order]
+            z = np.array([r.response for r in shuffled]) ** 3.0
+            ss, df = rsm._pure_error(shuffled, spec, z)
+            want_ss, want_df = self.unique_reference(shuffled, spec, z)
+            assert (ss.hex(), df) == (want_ss.hex(), want_df)
+            assert df > 0
+        distinct = [r for r in rows if r.std_order <= 54]  # no center rows
+        z = np.array([r.response for r in distinct])
+        assert rsm._pure_error(distinct, spec, z) == (0.0, 0) == \
+            self.unique_reference(distinct, spec, z)
+
+
+class TestTrailPrefixesAreHierarchical:
+    """Trails run to their end: every prefix of the steps leaves a
+    hierarchical spec, which pins the pass's removability bookkeeping (a
+    main effect becomes removable exactly when its last child goes)."""
+
+    # p > alpha holds for every step of these noise trails, so they run
+    # down to the intercept; at alpha = 1 - 1e-12 no step would run
+    ALPHA = 1e-12
+
+    @staticmethod
+    def cases():
+        """(letters, coding, rows, power, whether the design is noise only)."""
+        out = []
+        for letters, seed in (("ABC", 0), ("ABCDE", 1), ("ABCDEFGH", 4), ("ACEG", 9)):
+            coding, rows = noise_ccd(list(letters), seed)
+            out.append((list(letters), coding, rows, 1.0, True))
+        rng = np.random.default_rng(31)
+        out += [(*random_ccd_case(rng, 2 + i % 5), 1.0 + 2.0 * (i % 2), False)
+                for i in range(10)]
+        return out
+
+    def test_every_prefix_builds(self):
+        mains_removed = 0
+        for letters, coding, rows, power, noise in self.cases():
+            full = full_quadratic(letters, power)
+            reduced, steps = backward_eliminate(rows, full, self.ALPHA, coding)
+            terms = list(full.terms)
+            for step in steps:
+                terms.remove(step.term)
+                ModelSpec(tuple(terms), power)  # raises unless hierarchical
+                mains_removed += step.term.kind == rsm._KIND_MAIN
+            assert ModelSpec(tuple(terms), power) == reduced
+            if noise:
+                assert reduced.terms == (intercept(),)
+        assert mains_removed >= 20
